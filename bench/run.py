@@ -9,6 +9,11 @@ processes (one at a time, one caller, closed loop, BLAS threads pinned to
 prints each metric by name and unit. The last line of standard output is
 one JSON object: {"correct", "attempted", "failed", "metrics"}.
 
+Every end-to-end time is scaled to a fixed machine speed by speed probes
+run in the same process just before and after the timed work (see
+`shapes.ScaledClock`). Raw and scaled medians are both printed with the
+machine facts.
+
 --trace 0 reports the end-to-end metrics. --trace 1 alternates untraced
 and traced units of the workload and reports per-layer self times and
 counts from the traced ones, plus the tracing overhead. See README.md in
@@ -33,7 +38,8 @@ import threading
 import time
 from pathlib import Path
 
-from shapes import CLI_WORKLOADS, SETUP_REPEATS, WORKLOADS, cli_argv, items_per_op
+from shapes import (CLI_WORKLOADS, PROBE_NOMINAL_S, SETUP_REPEATS, WORKLOADS, cli_argv,
+                    items_per_op)
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
@@ -42,7 +48,6 @@ WORK = ROOT / ".bench_work"
 END_TO_END = {
     "setup_s": "s",
     "wall_s": "s",
-    "wall_p90_s": "s",
     "items_per_s": "1/s",
     "peak_rss_mb": "MB",
     "within_eps_frac": "frac",
@@ -139,9 +144,10 @@ class Bench:
 
     # -- CLI workloads -----------------------------------------------------
 
-    def cli_op(self, k: int, traced: bool, ref: dict) -> dict:
+    def cli_op(self, k: int, traced: bool, ref: dict, timed: bool = False) -> dict:
         """One CLI run into its own directory; its output is checked in full
-        the first time and compared byte for byte (bar `# config:`) after."""
+        the first time and compared byte for byte (bar `# config:`) after.
+        A timed run adds the raw and scaled seconds of `cli.main` itself."""
         op_dir = self.work / f"op{k}"
         op_dir.mkdir()
         out = op_dir / "out.csv"
@@ -153,6 +159,11 @@ class Bench:
                 child["layers"] = json.loads(res_path.read_text())["layers"]
                 child["layers"]["io.bytes_written"] = sum(
                     f.stat().st_size for f in op_dir.iterdir() if f.name != "result.json")
+        elif timed:
+            res_path = op_dir / "timing.json"
+            child = self.spawn(self.worker("timed-cli", str(res_path), "--", *cli_args))
+            if child["ok"]:
+                child.update(json.loads(res_path.read_text()))
         else:
             child = self.spawn([sys.executable, "-m", "sparse_sketch.cli", *cli_args])
         items = items_per_op(self.args.workload, self.args.tiny)
@@ -181,18 +192,26 @@ class Bench:
         ref: dict = {}
         if self.args.trace:
             return self.alternate(lambda k, traced: self.cli_unit(k, traced, ref))
-        setups = [self.spawn([sys.executable, "-c", "import sparse_sketch.cli"])
-                  for _ in range(SETUP_REPEATS)]
+        setups = []
+        for k in range(SETUP_REPEATS):
+            res_path = self.work / f"setup{k}.json"
+            if not self.spawn(self.worker("timed-import", str(res_path)))["ok"]:
+                raise ChildFailed("CLI import")
+            setups.append(json.loads(res_path.read_text()))
         ops = []
         t_end = time.perf_counter() + self.args.seconds
         while not ops or time.perf_counter() < t_end:
-            ops.append(self.cli_op(len(ops), False, ref))
-        done = sum(items for op in ops if op["ok"])
+            ops.append(self.cli_op(len(ops), False, ref, timed=True))
+        good = [op for op in ops if op["ok"]]
+        if not good:
+            raise ChildFailed("every CLI op")
         return {
-            "setup_s": statistics.median(c["seconds"] for c in setups),
-            "op_s": [op["seconds"] for op in ops],
-            "items_per_s": done / sum(op["seconds"] for op in ops),
-            "peak_rss_mb": statistics.median(op["rss_mb"] for op in ops),
+            "setup_s": [c["scaled_s"] for c in setups],
+            "raw_setup_s": [c["raw_s"] for c in setups],
+            "op_s": [op["scaled_s"] for op in good],
+            "raw_op_s": [op["raw_s"] for op in good],
+            "items_per_op": items,
+            "peak_rss_mb": statistics.median(op["rss_mb"] for op in good),
         }
 
     def cli_unit(self, k: int, traced: bool, ref: dict) -> dict:
@@ -220,14 +239,8 @@ class Bench:
         if self.args.trace:
             return self.alternate(self.lib_unit)
         child, res = self.lib_run(0, unit=False, traced=False)
-        op_s = res["op_s"]
-        done = res["items_per_op"] * len(op_s)
-        return {
-            "setup_s": statistics.median(res["setup_s"]),
-            "op_s": op_s,
-            "items_per_s": done / sum(op_s),
-            "peak_rss_mb": child["rss_mb"],
-        }
+        keys = ("setup_s", "raw_setup_s", "op_s", "raw_op_s", "items_per_op")
+        return {**{key: res[key] for key in keys}, "peak_rss_mb": child["rss_mb"]}
 
     def lib_unit(self, k: int, traced: bool) -> dict:
         _, res = self.lib_run(k, unit=True, traced=traced)
@@ -317,15 +330,23 @@ def main(argv=None) -> int:
         metrics = {name: (run["layers"][name], unit) for name, unit in PER_LAYER.items()}
         facts["traced_units"] = run["units"]
     else:
-        op_s = run.pop("op_s")
+        facts["probe_nominal_s"] = PROBE_NOMINAL_S
+        for key in ("setup_s", "op_s"):
+            facts[f"raw_{key}"] = statistics.median(run[f"raw_{key}"])
+        op_s = run["op_s"]
+        run["setup_s"] = statistics.median(run["setup_s"])
         run["wall_s"] = statistics.median(op_s)
-        run["wall_p90_s"] = _p90(op_s)
+        run["items_per_s"] = run["items_per_op"] * len(op_s) / sum(op_s)
+        # printed, not bounded: only estimator-queries has ten ops beyond it
+        tail = f"wall_p90_s = {_p90(op_s)!r} s  (over {len(op_s)} ops)"
         run["within_eps_frac"] = bench.within / bench.estimates if bench.estimates else 0.0
         metrics = {name: (run[name], unit) for name, unit in END_TO_END.items()}
         facts["ops"] = len(op_s)
     print("facts " + json.dumps(facts))
     for name, (value, unit) in metrics.items():
         print(f"{name} = {value!r} {unit}")
+    if run is not None and not args.trace:
+        print(tail)
     attempted = max(bench.attempted, bench.failed, 1)
     failed = bench.failed if bench.attempted else 1
     print(f"error_rate = {failed / attempted!r}  ({failed} failed of {attempted} attempted)")

@@ -1,8 +1,12 @@
-"""Workload names, shapes and fixed program seeds (standard library only).
+"""Workload names, shapes, fixed program seeds and the speed probe
+(standard library only).
 
 Shapes reuse the acceptance fixtures so the numbers line up with the
 suite's gates; TINY shrinks every workload for the self-test.
 """
+
+import statistics
+import time
 
 WORKLOADS = ("pairs-allp", "sweep-c03", "estimator-queries", "embed-allp")
 CLI_WORKLOADS = ("pairs-allp", "embed-allp")
@@ -16,10 +20,10 @@ EST_P, EST_EPS = 4, 0.25
 SETUP_REPEATS = 7    # set-ups per run (import-only children, base or build); median kept
 
 FULL = {
-    "pairs-allp": {"n": 50, "s": 10, "d": 10**4},
+    "pairs-allp": {"n": 25, "s": 10, "d": 10**4},
     "sweep-c03": {"n": 100, "s": 10, "d": 10**4},
     "estimator-queries": {"n": 200, "s": 5, "d": 10**4, "queries": 200, "batch": 100},
-    "embed-allp": {"n": 3, "s": 5, "d": 10**4},
+    "embed-allp": {"n": 3, "s": 2, "d": 10**4},
 }
 TINY = {
     "pairs-allp": {"n": 6, "s": 3, "d": 1000},
@@ -49,3 +53,48 @@ def cli_argv(workload: str, data: str, out: str) -> list[str]:
         return ["distort", "--input", data, "--output", out, "--p", "2",
                 "--eps", str(EPS), "--seed", str(HASH_SEED)]
     return ["embed", "--input", data, "--output", out, "--seed", str(HASH_SEED)]
+
+
+# -- machine speed -----------------------------------------------------------
+#
+# The host this benchmark was tuned on shares its cores: a fixed loop runs up
+# to 1.5 times slower for seconds to minutes at a time, which moves a run's
+# median as much as a real regression would. So every timed op is scaled by
+# a speed probe run in the same process just before and just after it:
+# scaled = raw * PROBE_NOMINAL_S / mean(probe before, probe after). A scaled
+# time is the op's time on a machine where the probe takes PROBE_NOMINAL_S.
+
+PROBE_NOMINAL_S = 0.030  # the probe's usual time on the tuning host
+
+
+def speed_probe(repeats: int = 3) -> float:
+    """Median seconds of `repeats` runs of a fixed pure-Python kernel
+    (integer arithmetic, dict stores, float formatting, a join)."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        acc, table = 0, {}
+        for i in range(120000):
+            acc += i * i
+            table[i & 1023] = acc & 0xFFFF
+        ",".join(repr(i * 0.37) for i in range(12000))
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+class ScaledClock:
+    """Scales raw op times by the probes that bracket them; the probe after
+    one batch of ops is the probe before the next."""
+
+    def __init__(self):
+        self.restart()
+
+    def restart(self) -> None:
+        """Probe again, after untimed work since the last probe."""
+        self.before = speed_probe()
+
+    def scale(self, raw: list[float]) -> list[float]:
+        after = speed_probe()
+        factor = PROBE_NOMINAL_S / ((self.before + after) / 2.0)
+        self.before = after
+        return [t * factor for t in raw]

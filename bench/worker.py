@@ -4,6 +4,8 @@
     worker.py lib WORKLOAD DIR RESULT --seconds S [--unit] [--trace --spans F] [--tiny]
     worker.py check WORKLOAD DIR OUTPUT RESULT
     worker.py cli RESULT SPANS -- CLI-ARGS...
+    worker.py timed-cli RESULT -- CLI-ARGS...
+    worker.py timed-import RESULT
 
 Each writes its findings as JSON to RESULT (gen: DIR/gen.json).
 """
@@ -15,6 +17,7 @@ import json
 import platform
 import sys
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,6 +99,39 @@ def cmd_cli(args) -> int:
     return rc
 
 
+def _timed(args, work) -> int:
+    """Time `work()` between speed probes; write its raw and scaled seconds."""
+    from shapes import ScaledClock
+
+    clock = ScaledClock()
+    t0 = perf_counter()
+    rc = work()
+    raw = perf_counter() - t0
+    (scaled,) = clock.scale([raw])
+    _write(args.result, {"rc": rc, "raw_s": raw, "scaled_s": scaled})
+    return rc
+
+
+def cmd_timed_cli(args) -> int:
+    from sparse_sketch import cli
+
+    return _timed(args, lambda: cli.main(args.cli_args))
+
+
+def cmd_timed_import(args) -> int:
+    """The CLI's set-up: importing `sparse_sketch.cli` into this fresh
+    interpreter, timed before the package's location is checked."""
+
+    def work() -> int:
+        import sparse_sketch.cli  # noqa: F401
+
+        return 0
+
+    rc = _timed(args, work)
+    _require_checkout_package()
+    return rc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="worker.py")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -126,10 +162,18 @@ def main(argv=None) -> int:
     sp.add_argument("spans")
     sp.add_argument("cli_args", nargs=argparse.REMAINDER)
     sp.set_defaults(func=cmd_cli)
+    sp = sub.add_parser("timed-cli")
+    sp.add_argument("result")
+    sp.add_argument("cli_args", nargs=argparse.REMAINDER)
+    sp.set_defaults(func=cmd_timed_cli)
+    sp = sub.add_parser("timed-import")
+    sp.add_argument("result")
+    sp.set_defaults(func=cmd_timed_import)
     args = parser.parse_args(argv)
     if getattr(args, "cli_args", None) and args.cli_args[0] == "--":
         args.cli_args = args.cli_args[1:]
-    _require_checkout_package()
+    if args.func is not cmd_timed_import:
+        _require_checkout_package()
     return args.func(args)
 
 

@@ -27,12 +27,13 @@ from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.hashing import HashSpec, bucket_grid, derive_seed, hash_bucket
 from sparse_sketch.vectors import lp_dist
 
-from shapes import EPS, EST_EPS, EST_P, EST_SEED, HASH_SEED, SWEEP_ROOT, shape
+from shapes import EPS, EST_EPS, EST_P, EST_SEED, HASH_SEED, SWEEP_ROOT, ScaledClock, shape
 
 SWEEP_PS = (1.0, 2.0, 4.0)
 NONEXP_TOL = 1e-9  # relative slack for "never above the true distance"
 EXACT_TOL = 1e-9   # relative slack against the definitional oracle
 SAMPLES = 5        # pairs or queries per run checked against the definition
+QUERY_BATCH = 30   # queries between two speed probes
 
 
 def generate(workload: str, seed: int, tiny: bool, out_dir: str) -> None:
@@ -217,11 +218,19 @@ def _check_sweep(sums: dict, base: dict, copies: int, iu,
     return pairs, pairs - int(ok.sum()), pairs * len(SWEEP_PS), within
 
 
+def _record(out: dict, key: str, clock, raw: list[float]) -> None:
+    """Append raw times to out["raw_" + key] and their scaled times to
+    out[key]; without a clock (unit mode) only the raw times are kept."""
+    out.setdefault("raw_" + key, []).extend(raw)
+    out[key].extend(clock.scale(raw) if clock else raw)
+
+
 def run_sweep(data_path: str, seconds: float, unit: bool, setups: int,
               on_ready=lambda: None) -> dict:
     """Criterion-03 loop: `base` (set-up), then one `stacked_power_sums`
     per derived seed. Unit mode runs one base and one seed, timed together.
-    `on_ready` runs once the inputs are loaded, before any measured call."""
+    `on_ready` runs once the inputs are loaded, before any measured call.
+    Loop mode brackets every set-up and op with speed probes (`ScaledClock`)."""
     ds = io.read_dataset(data_path)
     vecs = ds.vectors
     params = embeddings.plan_params("all-p", ds.max_sparsity, len(ds), EPS)
@@ -235,10 +244,11 @@ def run_sweep(data_path: str, seconds: float, unit: bool, setups: int,
                                                          derive_seed(SWEEP_ROOT, 0))
     on_ready()
     started = perf_counter()
+    clock = None if unit else ScaledClock()
     for _ in range(setups):
         t0 = perf_counter()
         base = pairwise.pairwise_power_dists(vecs, SWEEP_PS)
-        out["setup_s"].append(perf_counter() - t0)
+        _record(out, "setup_s", clock, [perf_counter() - t0])
 
     def one(run: int):
         t0 = perf_counter()
@@ -255,6 +265,7 @@ def run_sweep(data_path: str, seconds: float, unit: bool, setups: int,
                                     SWEEP_PS) for i, j in sample}
     tally.add(*_check_sweep(first, base, copies, iu, exact))
     if not unit:
+        clock.restart()
         t_end = perf_counter() + seconds
         for run in itertools.count(1):
             if perf_counter() >= t_end:
@@ -265,7 +276,7 @@ def run_sweep(data_path: str, seconds: float, unit: bool, setups: int,
                 _report_failure(f"stacked_power_sums run {run}")
                 tally.add(pairs, pairs)
                 continue
-            out["op_s"].append(dt)
+            _record(out, "op_s", clock, [dt])
             tally.add(*_check_sweep(sums, base, copies, iu, {}))
         _, again = one(0)  # the same seed again must repeat bit for bit
         same = all(np.array_equal(again[p], first[p]) for p in SWEEP_PS)
@@ -288,21 +299,25 @@ def run_estimator(data_path: str, queries_path: str, batch: int, seconds: float,
                   unit: bool, setups: int, on_ready=lambda: None) -> dict:
     """`build_estimator` (set-up), then queries in sequence, cycling over
     the generated queries, each checked against `direct_distance_sum`.
-    Loop mode answers every query at least once; unit mode runs one build
-    and `batch` queries with their oracle, timed together."""
+    Loop mode answers every query at least once and brackets every build
+    and every QUERY_BATCH queries with speed probes (`ScaledClock`); unit
+    mode runs one build and `batch` queries with their oracle, timed
+    together."""
     ds = io.read_dataset(data_path)
     queries = io.read_dataset(queries_path, dim=ds.dim).vectors
     tally = Tally()
     out = {"setup_s": [], "op_s": [], "items_per_op": 1}
     on_ready()
     started = perf_counter()
+    clock = None if unit else ScaledClock()
     for _ in range(setups):
         t0 = perf_counter()
         est = apps.build_estimator(ds, EST_P, EST_EPS, EST_SEED)
-        out["setup_s"].append(perf_counter() - t0)
+        _record(out, "setup_s", clock, [perf_counter() - t0])
     out["query_coeffs"] = est.R * est.m * (est.p + 1)
     answers: dict[int, float] = {}
     direct: dict[int, float] = {}
+    pending: list[float] = []  # raw query times since the last probe
     count = batch if unit else len(queries)
     t_end = perf_counter() + seconds
     for k in itertools.count():
@@ -318,7 +333,10 @@ def run_estimator(data_path: str, queries_path: str, batch: int, seconds: float,
             tally.add(1, 1)
             continue
         if not unit:
-            out["op_s"].append(perf_counter() - t0)
+            pending.append(perf_counter() - t0)
+            if len(pending) == QUERY_BATCH:
+                _record(out, "op_s", clock, pending)
+                pending = []
         if qi not in direct:
             direct[qi] = apps.direct_distance_sum(ds, y, EST_P)
         if qi in answers:  # a repeated query must give the same answer
@@ -330,6 +348,8 @@ def run_estimator(data_path: str, queries_path: str, batch: int, seconds: float,
             bad = not _close(answer, _estimate_by_definition(ds, y, est.R, est.m))
         close = abs(answer - direct[qi]) <= EST_EPS * direct[qi]
         tally.add(1, int(bad), 1, int(close))
+    if pending:
+        _record(out, "op_s", clock, pending)
     if unit:
         out["unit_s"] = perf_counter() - started
     out.update(tally.as_dict())

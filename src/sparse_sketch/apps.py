@@ -14,6 +14,7 @@ import numpy as np
 from .embeddings import MaxHashMap, landed_buckets
 from .errors import PatternBudgetError, PreconditionError
 from .hashing import HashSpec
+from .pairwise import pairwise_power_dists, stacked_power_sums
 from .vectors import (
     INF,
     Dataset,
@@ -158,15 +159,6 @@ def diameter_l1(dataset: Dataset, s: int, seed: int, k: int | None = None,
 # max-cut
 
 
-def _pair_power_matrix(vectors: Sequence[SparseVector], p: float) -> np.ndarray:
-    n = len(vectors)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = lp_dist(vectors[i], vectors[j], p) ** p
-    return d
-
-
 def cut_value(powers: np.ndarray, mask: int) -> float:
     """Value of the bipartition encoded by mask bits over a pair-power matrix."""
     n = powers.shape[0]
@@ -204,7 +196,7 @@ def maxcut_brute(dataset: Dataset, p) -> tuple[float, int]:
     n = len(dataset)
     if n > _MAXCUT_LIMIT:
         raise PreconditionError(f"brute-force max-cut capped at n = {_MAXCUT_LIMIT}, got {n}")
-    return maxcut_from_pair_powers(_pair_power_matrix(dataset.vectors, p))
+    return maxcut_from_pair_powers(pairwise_power_dists(dataset.vectors, [p])[p])
 
 
 def sketched_pair_powers(dataset: Dataset, p: float, eps: float, seed: int) -> np.ndarray:
@@ -213,22 +205,7 @@ def sketched_pair_powers(dataset: Dataset, p: float, eps: float, seed: int) -> n
     require_nonneg(*dataset.vectors, what="max-pool sketch")
     s = max(1, dataset.max_sparsity)
     m = math.ceil(200.0 * s / (eps * eps))
-    mmap = MaxHashMap(HashSpec(seed, 0, m))
-    landed = [dict(zip(*(arr.tolist() for arr in landed_buckets(mmap, v))))
-              for v in dataset.vectors]
-    n = len(dataset)
-    powers = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = 0.0
-            di, dj = landed[i], landed[j]
-            for b, v in di.items():
-                acc += abs(v - dj.get(b, 0.0)) ** p
-            for b, v in dj.items():
-                if b not in di:
-                    acc += abs(v) ** p
-            powers[i, j] = powers[j, i] = acc
-    return powers
+    return stacked_power_sums(dataset.vectors, m, 1, seed, [p])[float(p)]
 
 
 def maxcut_sketched(dataset: Dataset, p, eps: float, seed: int) -> float:

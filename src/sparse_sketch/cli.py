@@ -47,6 +47,7 @@ from .errors import (
     SketchError,
 )
 from .hashing import HashSpec, derive_seed
+from .pairwise import stacked_power_sums
 from .probes import (
     DenseLinearMap,
     UnifSpec,
@@ -85,11 +86,11 @@ def _load_params(args, dataset) -> tuple[EmbedParams, int]:
     if args.params:
         params, seed = EmbedParams.from_json_dict(io.read_json(args.params))
     else:
-        s = args.s if args.s else max(1, dataset.max_sparsity)
+        s = args.s if args.s is not None else max(1, dataset.max_sparsity)
         n = max(2, len(dataset))
         params = plan_params(args.mode, s, n, args.eps, delta=args.delta, p=args.p)
         seed = args.seed
-    if args.m or args.T:
+    if args.m is not None or args.T is not None:
         params = with_overrides(params, m=args.m, T=args.T)
     return params, seed
 
@@ -129,16 +130,37 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _distort_pairs(args, dataset, params, seed):
+def _embedded_dists(vecs, params, seed, p, base=None) -> np.ndarray:
+    """(n, n) matrix of `estimate_distance` under StackedEmbedding(params,
+    seed): one engine call for finite p (`base` as in `stacked_power_sums`),
+    the per-pair path for p = inf."""
+    if p != INF:
+        sums = stacked_power_sums(vecs, params.m, params.T, seed, [p], base=base)
+        return (sums[float(p)] / params.T) ** (1.0 / p)
     stack = StackedEmbedding(params, seed)
+    n = len(vecs)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = estimate_distance(stack, vecs[i], vecs[j], p)
+    return out
+
+
+def _distort_pairs(args, dataset, params, seed):
     p = args.p if args.p is not None else 2.0
     rows = []
     ratios = []
     vecs, ids = dataset.vectors, dataset.ids
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            true = lp_dist(vecs[i], vecs[j], p)
-            emb = estimate_distance(stack, vecs[i], vecs[j], p)
+    n = len(vecs)
+    true_d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            true_d[i, j] = true_d[j, i] = lp_dist(vecs[i], vecs[j], p)
+    emb_d = _embedded_dists(vecs, params, seed, p,
+                            base=None if p == INF else {float(p): true_d ** p})
+    for i in range(n):
+        for j in range(i + 1, n):
+            true, emb = float(true_d[i, j]), float(emb_d[i, j])
             ratio = emb / true if true > 0 else None
             if ratio is not None:
                 ratios.append(ratio)
@@ -189,7 +211,7 @@ def cmd_distort(args) -> int:
 def _apps_diameter(args, dataset, run_seed):
     p = args.p if args.p is not None else INF
     true = diameter_exact(dataset, p)
-    s = args.s if args.s else max(1, dataset.max_sparsity)
+    s = args.s if args.s is not None else max(1, dataset.max_sparsity)
     if p == INF:
         sketch = diameter_linf_stream(dataset.vectors, s, run_seed)
     elif p == 1:
@@ -229,14 +251,8 @@ def _apps_cluster_cost(args, dataset, run_seed):
         true = clustering_cost(dataset, clustering, centers="continuous")
         return true, None, None
     true = clustering_cost(dataset, clustering, centers="basic")
-    params, seed = _load_params(args, dataset)
-    stack = StackedEmbedding(params, run_seed)
-    n = len(dataset)
-    dists = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dists[i, j] = dists[j, i] = estimate_distance(
-                stack, dataset.vectors[i], dataset.vectors[j], p)
+    params, _ = _load_params(args, dataset)
+    dists = _embedded_dists(dataset.vectors, params, run_seed, p)
     sketch = clustering_cost_from_pair_dists(dists, clustering)
     ratio = sketch / true if true > 0 else None
     return true, sketch, ratio

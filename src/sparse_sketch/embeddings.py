@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import EmbeddingMismatch, PreconditionError
 from .hashing import HashSpec, bucket_array, bucket_grid
+from .pairwise import pair_copy_tables
 from .vectors import INF, SparseVector, _check_p, require_nonneg
 
 MODES = ("all-p", "linf-exact", "sum-linf", "discrete")
@@ -263,15 +264,6 @@ def stack_embed(stack: StackedEmbedding, x: SparseVector) -> np.ndarray:
     return out
 
 
-def _pair_copy_power_sums(stack, x, y, p_list, want_linf):
-    # One segmented pass over (copy, bucket) groups of the pair's union
-    # support; see pairwise.pair_copy_tables for the shared implementation.
-    from .pairwise import pair_copy_tables
-
-    return pair_copy_tables(x, y, stack.m, stack.T, stack.seed,
-                            ps=p_list, with_linf=want_linf)
-
-
 def estimate_distance(stack: StackedEmbedding, x: SparseVector, y: SparseVector, p) -> float:
     """Distance estimate from the stacked embedding.
 
@@ -284,10 +276,9 @@ def estimate_distance(stack: StackedEmbedding, x: SparseVector, y: SparseVector,
     if x.dim != y.dim:
         raise EmbeddingMismatch(f"ambient dimensions differ: {x.dim} vs {y.dim}")
     if p == INF:
-        tables = _pair_copy_power_sums(stack, x, y, (), True)
-        per_copy = tables["inf"]
+        per_copy = pair_copy_tables(x, y, stack.m, stack.T, stack.seed, with_linf=True)["inf"]
         return float(per_copy.max(initial=0.0))
-    tables = _pair_copy_power_sums(stack, x, y, (p,), False)
+    tables = pair_copy_tables(x, y, stack.m, stack.T, stack.seed, ps=(p,))
     total = float(tables[p].sum())
     return (total / stack.T) ** (1.0 / p)
 

@@ -83,10 +83,12 @@ def bucket_array(spec: HashSpec, indices: np.ndarray) -> np.ndarray:
     return (h % np.uint64(spec.m)).astype(np.int64)
 
 
-def bucket_grid(seed: int, copies: int, indices: np.ndarray, m: int) -> np.ndarray:
-    """Buckets for `indices` under copy_index 0..copies-1; shape (copies, len)."""
+def bucket_grid(seed: int, copies: int, indices: np.ndarray, m: int,
+                start: int = 0) -> np.ndarray:
+    """Buckets for `indices` under copy_index start..start+copies-1; shape
+    (copies, len)."""
     idx = np.asarray(indices, dtype=np.uint64)
-    copy_ids = np.arange(copies, dtype=np.uint64)
+    copy_ids = np.arange(start, start + copies, dtype=np.uint64)
     with np.errstate(over="ignore"):
         seed_mixed = np.uint64(mix64(seed & _MASK64))
         keys = _mix64_u64(seed_mixed ^ (copy_ids * np.uint64(_COPY_SALT)))

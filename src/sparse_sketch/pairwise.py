@@ -4,17 +4,32 @@ Two evaluation strategies, both exact (up to float roundoff) and
 cross-checked against the dense definition in the test suite:
 
 * ``pair_copy_tables``: one segmented pass over the (copy, bucket) groups
-  of a single pair's union support. Memory O(T * union).
-* ``stacked_power_sums``: all pairs of a dataset at once. A copy without
-  collisions contributes exactly the true distance, so the T-fold sum is
-  T * D plus corrections at the rare (copy, bucket) groups that receive
-  two or more distinct coordinates. Only those groups are materialized,
-  which is what makes copy counts in the tens of thousands tractable.
+  of a single pair's union support. Memory O(T * union). Also gives the
+  per-copy max-norm distances, which nothing else computes.
+* ``stacked_power_sums``: all pairs of a dataset at once, for finite p. A
+  copy without collisions contributes exactly the true distance, so the
+  T-fold sum is T * D plus corrections at the (copy, bucket) groups that
+  receive two or more distinct coordinates. The copies are hashed
+  ``_BLOCK`` at a time; a row sort flags the copies with a shared bucket
+  and only those are argsorted into groups. Each group member is expanded
+  to its (group, owner vector, value) entries, and three corrections are
+  summed with segmented reductions and ``np.bincount``, with no Python
+  loop per group:
+
+  - per (group, vector): |t_u|^p - sum |x_u|^p over its landed entries,
+    where t_u is the pooled max; it applies to every pair of u;
+  - per owner pair in a group: |t_u - t_v|^p - |t_u|^p - |t_v|^p;
+  - per coordinate owned by both u and v: |x_u - x_v|^p - |x_u|^p -
+    |x_v|^p, subtracted once per copy in which that coordinate collides.
+
+  For a pair with both vectors in a group the three add up to
+  |t_u - t_v|^p - sum |x_u - x_v|^p, the exact correction; with only u in
+  it, u's row term is. Sums are clamped at 0, and pairs with a zero true
+  distance (equal vectors, so equal images) are set to exactly 0.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +38,7 @@ from .hashing import bucket_grid
 from .vectors import SparseVector, lp_dist
 
 _POS_LIMIT = 1 << 62
+_BLOCK = 64  # copies hashed per block; bounds the grid held at once
 
 
 def pair_copy_tables(
@@ -106,6 +122,61 @@ def _ownership(vectors: Sequence[SparseVector]):
     return distinct, owner_vec, owner_val, starts.astype(np.int64), counts.astype(np.int64)
 
 
+def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over the (start, count) pairs."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
+
+
+def _run_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j inside each run of consecutive positions whose
+    lengths are `counts`."""
+    ends = np.repeat(np.cumsum(counts), counts)
+    idx = np.arange(len(ends), dtype=np.int64)
+    partners = ends - idx - 1
+    i = np.repeat(idx, partners)
+    return i, i + 1 + _expand(np.zeros_like(partners), partners)
+
+
+def _collision_members(seed: int, copies: int, distinct: np.ndarray,
+                       m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(group id, coordinate position) of every member of a (copy, bucket)
+    group holding two or more distinct coordinates."""
+    group_ids, coords = [], []
+    n_groups = 0
+    shift = max(1, len(distinct) - 1).bit_length()  # bits of a coordinate position
+    packable = m.bit_length() + shift < 64
+    positions = np.arange(len(distinct), dtype=np.int64)
+    for start in range(0, copies, _BLOCK):
+        grid = bucket_grid(seed, min(_BLOCK, copies - start), distinct, m, start=start)
+        if m <= np.iinfo(np.int32).max:
+            grid = grid.astype(np.int32)  # halves the sort's memory traffic
+        # cheap detection first: a copy needs corrections only when two distinct
+        # coordinates share a bucket, which row-sorted values expose directly
+        gs = np.sort(grid, axis=1)
+        same = gs[:, 1:] == gs[:, :-1]
+        dup = np.flatnonzero(same.any(axis=1))
+        if len(dup) == 0:
+            continue
+        if packable:  # a stable argsort as one value sort: bucket above position
+            order = np.sort(grid[dup].astype(np.int64) << shift | positions, axis=1)
+            order &= (1 << shift) - 1
+        else:
+            order = np.argsort(grid[dup], axis=1, kind="stable")
+        same = same[dup]
+        edge = np.zeros((len(dup), 1), dtype=bool)
+        after = np.hstack([edge, same]).ravel()  # same bucket as the previous
+        member = after | np.hstack([same, edge]).ravel()
+        ids = np.cumsum(~after[member]) - 1 + n_groups  # a group opens where `after` is off
+        group_ids.append(ids)
+        coords.append(order.ravel()[member])
+        n_groups = int(ids[-1]) + 1
+    if not group_ids:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(group_ids), np.concatenate(coords)
+
+
 def stacked_power_sums(
     vectors: Sequence[SparseVector],
     m: int,
@@ -121,104 +192,52 @@ def stacked_power_sums(
     """
     n = len(vectors)
     ps = [float(p) for p in ps]
+    if copies * m >= _POS_LIMIT:
+        raise ValueError("copies * m too large to key")
     if base is None:
         base = pairwise_power_dists(vectors, ps)
     totals = {p: base[p] * float(copies) for p in ps}
-    if n == 0:
-        return totals
     distinct, owner_vec, owner_val, ostarts, ocounts = _ownership(vectors)
     if len(distinct) == 0:
         return totals
-
-    grid = bucket_grid(seed, copies, distinct, m)
-    if m <= np.iinfo(np.int32).max:
-        grid = grid.astype(np.int32)  # halves the sort's memory traffic
-    # cheap detection first: a copy needs corrections only when two distinct
-    # coordinates share a bucket, which row-sorted values expose directly
-    gs = np.sort(grid, axis=1)
-    has_dup = (gs[:, 1:] == gs[:, :-1]).any(axis=1)
-    dup_rows = np.flatnonzero(has_dup)
-    if len(dup_rows) == 0:
+    group, coord = _collision_members(seed, copies, distinct, m)
+    if len(group) == 0:
         return totals
 
-    simple_a: list[int] = []
-    simple_b: list[int] = []
-    complex_members: list[np.ndarray] = []
-    for t in dup_rows:
-        row = grid[t]
-        order = np.argsort(row, kind="stable")
-        vals = row[order]
-        boundary = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
-        ends = np.r_[boundary[1:], len(vals)]
-        for a, b in zip(boundary, ends):
-            if b - a < 2:
-                continue
-            members = order[a:b]
-            if b - a == 2:
-                qa, qb = int(members[0]), int(members[1])
-                if ocounts[qa] == 1 and ocounts[qb] == 1:
-                    simple_a.append(qa)
-                    simple_b.append(qb)
-                    continue
-            complex_members.append(members)
+    # one entry per (group, owner vector, value), segmented by (group, vector)
+    pos = _expand(ostarts[coord], ocounts[coord])
+    key = np.repeat(group, ocounts[coord]) * n + owner_vec[pos]
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], owner_val[pos][order]
+    seg = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    seg_vec, seg_group = key[seg] % n, key[seg] // n
+    top = np.maximum.reduceat(val, seg)
+    gi, gj = _run_pairs(np.diff(np.r_[
+        np.flatnonzero(np.r_[True, seg_group[1:] != seg_group[:-1]]), len(seg)]))
 
-    row_corr = {p: np.zeros(n) for p in ps}  # broadcast to every pair of that vector
-    pair_corr = {p: np.zeros((n, n)) for p in ps}
+    # owner pairs of each shared coordinate, with the copies it collides in
+    hits = np.bincount(coord, minlength=len(distinct))
+    shared = np.flatnonzero((hits > 0) & (ocounts > 1))
+    opos = _expand(ostarts[shared], ocounts[shared])
+    ci, cj = _run_pairs(ocounts[shared])
+    c_hits = np.repeat(hits[shared], ocounts[shared])[ci].astype(np.float64)
+    cx, cy = owner_val[opos[ci]], owner_val[opos[cj]]
 
-    if simple_a:
-        ia = np.asarray(simple_a, dtype=np.int64)
-        ib = np.asarray(simple_b, dtype=np.int64)
-        ua = owner_vec[ostarts[ia]]
-        ub = owner_vec[ostarts[ib]]
-        va = owner_val[ostarts[ia]]
-        vb = owner_val[ostarts[ib]]
-        cross = ua != ub
-        if cross.any():
-            u, v = ua[cross], ub[cross]
-            a, b = va[cross], vb[cross]
-            for p in ps:
-                corr = np.abs(a - b) ** p - np.abs(a) ** p - np.abs(b) ** p
-                np.add.at(pair_corr[p], (u, v), corr)
-                np.add.at(pair_corr[p], (v, u), corr)
-        intra = ~cross
-        if intra.any():
-            u = ua[intra]
-            a, b = va[intra], vb[intra]
-            hi = np.maximum(a, b)
-            for p in ps:
-                corr = np.abs(hi) ** p - np.abs(a) ** p - np.abs(b) ** p
-                np.add.at(row_corr[p], u, corr)
-
-    for members in complex_members:
-        landed: dict[int, dict[int, float]] = defaultdict(dict)  # vec -> {idx_id: val}
-        for q in members:
-            st = ostarts[q]
-            for off in range(ocounts[q]):
-                landed[int(owner_vec[st + off])][int(q)] = float(owner_val[st + off])
-        tops = {u: max(vals.values()) for u, vals in landed.items()}
-        solo = {}
-        for u, vals in landed.items():
-            solo_u = {}
-            for p in ps:
-                solo_u[p] = abs(tops[u]) ** p - sum(abs(v) ** p for v in vals.values())
-                row_corr[p][u] += solo_u[p]
-            solo[u] = solo_u
-        owners = sorted(landed)
-        for ui in range(len(owners)):
-            for vi in range(ui + 1, len(owners)):
-                u, v = owners[ui], owners[vi]
-                shared = set(landed[u]) | set(landed[v])
-                for p in ps:
-                    baseline = sum(
-                        abs(landed[u].get(q, 0.0) - landed[v].get(q, 0.0)) ** p
-                        for q in shared
-                    )
-                    exact = abs(tops[u] - tops[v]) ** p - baseline
-                    fix = exact - solo[u][p] - solo[v][p]
-                    pair_corr[p][u, v] += fix
-                    pair_corr[p][v, u] += fix
-
+    pair_key = np.r_[seg_vec[gi] * n + seg_vec[gj],
+                     owner_vec[opos[ci]] * n + owner_vec[opos[cj]]]
     for p in ps:
-        totals[p] = totals[p] + row_corr[p][:, None] + row_corr[p][None, :] + pair_corr[p]
-        np.fill_diagonal(totals[p], 0.0)
+        tp = np.abs(top) ** p
+        row = np.bincount(seg_vec, weights=tp - np.add.reduceat(np.abs(val) ** p, seg),
+                          minlength=n)
+        fix = np.r_[np.abs(top[gi] - top[gj]) ** p - tp[gi] - tp[gj],
+                    c_hits * (np.abs(cx) ** p + np.abs(cy) ** p - np.abs(cx - cy) ** p)]
+        pair = np.bincount(pair_key, weights=fix, minlength=n * n).reshape(n, n)
+        t = totals[p]
+        t += row[:, None]
+        t += row[None, :]
+        t += pair
+        t += pair.T
+        t[base[p] == 0.0] = 0.0  # equal vectors have equal images
+        np.fill_diagonal(t, 0.0)
+        np.maximum(t, 0.0, out=t)  # a sum of powers; drops negative roundoff
     return totals

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from sparse_sketch import io
-from sparse_sketch.cli import main
+from sparse_sketch.cli import _parse_p, main
 from sparse_sketch.datagen import random_nonneg_dataset
+from sparse_sketch.embeddings import estimate_distance
 from sparse_sketch.vectors import Dataset, SparseVector
+
+from helpers import stack_of
 
 
 def write_data(tmp_path, name="data.tsv", n=6, s=3, d=500, seed=1):
@@ -83,6 +86,55 @@ def test_distort_identical_copies_all_zero(tmp_path):
     assert len(pair_rows) == 1
     assert float(pair_rows[0][2]) == 0.0 and float(pair_rows[0][3]) == 0.0
     assert pair_rows[0][4] == ""  # ratio undefined at zero distance
+
+
+@pytest.mark.parametrize("p", ["1", "2", "4"])
+def test_distort_duplicate_vector_embeds_at_exactly_zero(tmp_path, p):
+    # few buckets and several hashing blocks of copies: many collisions
+    ds = random_nonneg_dataset(6, 4, 40, seed=11)
+    ds = Dataset.from_items(list(ds) + [("dup", ds.vectors[2])])
+    path = str(tmp_path / "dup.tsv")
+    io.write_dataset_text(path, ds)
+    out = str(tmp_path / "rep.csv")
+    rc = main(["distort", "--input", path, "--output", out, "--m", "3", "--T", "600",
+               "--p", p, "--seed", "4"])
+    assert rc == 0
+    _, rows = csv_rows(out)
+    cells = {r[0]: r for r in rows}
+    assert cells[f"{ds.ids[2]}|dup"][3] == "0.0"
+    for r in rows:
+        if not r[0].startswith("summary"):
+            assert float(r[3]) >= 0.0 and "nan" not in r[3] and "j" not in r[3]
+
+
+@pytest.mark.parametrize("p", ["1", "2", "4", "inf"])
+def test_distort_embedded_matches_estimate_distance(tmp_path, p):
+    data, ds = write_data(tmp_path, n=8, s=4, d=60, seed=5)
+    out = str(tmp_path / "rep.csv")
+    rc = main(["distort", "--input", data, "--output", out, "--m", "7", "--T", "300",
+               "--p", p, "--seed", "9"])
+    assert rc == 0
+    _, rows = csv_rows(out)
+    stack = stack_of(7, 300, 9)
+    vecs = dict(zip(ds.ids, ds.vectors))
+    checked = 0
+    for r in rows:
+        if r[0].startswith("summary"):
+            continue
+        a, b = r[0].split("|")
+        expect = estimate_distance(stack, vecs[a], vecs[b], _parse_p(p))
+        assert float(r[3]) == pytest.approx(expect, rel=1e-12, abs=1e-300)
+        checked += 1
+    assert checked == 28
+
+
+@pytest.mark.parametrize("flag", ["--m", "--T", "--s"])
+def test_zero_size_override_is_a_precondition_error(tmp_path, capsys, flag):
+    data, _ = write_data(tmp_path)
+    rc = main(["distort", "--input", data, "--output", str(tmp_path / "o.csv"),
+               flag, "0"])
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_distort_figure_mode_maxhash_hugs_sumhash_inflates(tmp_path):

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from sparse_sketch import pairwise
+from sparse_sketch.embeddings import stack_embed
 from sparse_sketch.pairwise import (
+    _BLOCK,
     pair_copy_tables,
     pairwise_power_dists,
     stacked_power_sums,
 )
 from sparse_sketch.vectors import SparseVector, lp_dist
 
-from helpers import naive_stack_linf, naive_stack_pair_powers, random_sparse
+from helpers import naive_stack_linf, naive_stack_pair_powers, random_sparse, stack_of
 
 
 def build_case(rng, signed):
@@ -88,3 +91,68 @@ def test_engine_handles_zero_vectors_and_empty_dataset():
     assert out[2.0][0, 1] == pytest.approx(3.0)  # every copy sees distance 1
     empty = stacked_power_sums([], 5, 2, 0, [2.0])
     assert empty[2.0].shape == (0, 0)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_engine_matches_dense_across_hash_blocks(signed):
+    # copies span three hashing blocks, the last one partial
+    rng = np.random.default_rng(77 if signed else 78)
+    copies = 2 * _BLOCK + 37
+    ps = [1.0, 2.0, 4.0]
+    for m in (1, 3, 11):
+        vecs = [random_sparse(rng, 12, int(rng.integers(0, 5)), signed=signed)
+                for _ in range(5)]
+        got = stacked_power_sums(vecs, m, copies, 5 + m, ps)
+        st = stack_of(m, copies, 5 + m)
+        rows = [stack_embed(st, v) for v in vecs]
+        for p in ps:
+            for i in range(len(vecs)):
+                for j in range(len(vecs)):
+                    expect = 0.0 if i == j else float(np.sum(np.abs(rows[i] - rows[j]) ** p))
+                    assert got[p][i, j] == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+
+def test_engine_sums_are_nonnegative_and_zero_for_equal_vectors():
+    rng = np.random.default_rng(31)
+    vecs = [random_sparse(rng, 30, 6, signed=signed) for signed in (False, True) * 4]
+    vecs += vecs[:3]  # duplicates of earlier vectors
+    ps = [1.0, 2.0, 4.0]
+    for m in (1, 2, 5):
+        got = stacked_power_sums(vecs, m, _BLOCK + 9, 12, ps)
+        for p in ps:
+            assert (got[p] >= 0.0).all()
+            for k in range(3):
+                assert got[p][k, len(vecs) - 3 + k] == 0.0
+                assert got[p][len(vecs) - 3 + k, k] == 0.0
+
+
+def test_engine_difference_collapsing_into_one_bucket_stays_nonnegative():
+    # at m = 1 each copy pools both vectors to 3.0: the images coincide
+    # although the vectors differ
+    x = SparseVector.from_pairs({0: 3.0, 1: 1.0, 2: 0.7}, 10)
+    y = SparseVector.from_pairs({0: 3.0, 3: 0.1}, 10)
+    out = stacked_power_sums([x, y], 1, 300, 4, [1.0, 2.0, 4.0])
+    for p, sums in out.items():
+        assert sums[0, 1] >= 0.0 and sums[1, 0] >= 0.0
+        # the corrections cancel 300 copies of the true distance
+        assert sums[0, 1] == pytest.approx(0.0, abs=1e-12 * 300 * lp_dist(x, y, p) ** p)
+
+
+def test_engine_rejects_unkeyable_copy_counts():
+    x = SparseVector.from_pairs({0: 1.0}, 10)
+    with pytest.raises(ValueError):
+        stacked_power_sums([x, x], 1 << 40, 1 << 30, 0, [2.0])
+
+
+def test_wide_buckets_group_like_packed_ones(monkeypatch):
+    # buckets too wide to pack beside a coordinate position take the argsort
+    # path; scaling every bucket keeps the groups, so the sums are identical
+    rng = np.random.default_rng(3)
+    vecs = [random_sparse(rng, 20, 4, signed=True) for _ in range(6)]
+    want = stacked_power_sums(vecs, 5, 3, 8, [1.0, 2.0])
+    real = pairwise.bucket_grid
+    monkeypatch.setattr(pairwise, "bucket_grid", lambda seed, copies, idx, m, start=0:
+                        real(seed, copies, idx, 5, start=start) << 57)
+    got = stacked_power_sums(vecs, 1 << 60, 3, 8, [1.0, 2.0])
+    for p in (1.0, 2.0):
+        assert np.array_equal(got[p], want[p])

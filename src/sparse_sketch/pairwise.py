@@ -14,7 +14,8 @@ cross-checked against the dense definition in the test suite:
   and only those are argsorted into groups. Each group member is expanded
   to its (group, owner vector, value) entries, and three corrections are
   summed with segmented reductions and ``np.bincount``, with no Python
-  loop per group:
+  loop per group. The first two are added up block by block, so every
+  array scales with ``_BLOCK``, not with the copy count:
 
   - per (group, vector): |t_u|^p - sum |x_u|^p over its landed entries,
     where t_u is the pooled max; it applies to every pair of u;
@@ -38,7 +39,7 @@ from .hashing import bucket_grid
 from .vectors import SparseVector, lp_dist
 
 _POS_LIMIT = 1 << 62
-_BLOCK = 64  # copies hashed per block; bounds the grid held at once
+_BLOCK = 64  # copies per block; bounds every array of the correction phase
 
 
 def pair_copy_tables(
@@ -117,9 +118,14 @@ def _ownership(vectors: Sequence[SparseVector]):
     owner_vec = np.asarray(vec_ids, dtype=np.int64)[order]
     owner_val = np.asarray(vals, dtype=np.float64)[order]
     sorted_inv = inverse[order]
-    starts = np.flatnonzero(np.r_[True, sorted_inv[1:] != sorted_inv[:-1]])
+    starts = _run_starts(sorted_inv)
     counts = np.diff(np.r_[starts, len(sorted_inv)])
     return distinct, owner_vec, owner_val, starts.astype(np.int64), counts.astype(np.int64)
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Positions where the runs of equal values of a sorted array begin."""
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -139,15 +145,10 @@ def _run_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, i + 1 + _expand(np.zeros_like(partners), partners)
 
 
-def _collision_members(seed: int, copies: int, distinct: np.ndarray,
-                       m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(group id, coordinate position) of every member of a (copy, bucket)
-    group holding two or more distinct coordinates."""
-    group_ids, coords = [], []
-    n_groups = 0
-    shift = max(1, len(distinct) - 1).bit_length()  # bits of a coordinate position
-    packable = m.bit_length() + shift < 64
-    positions = np.arange(len(distinct), dtype=np.int64)
+def _collision_blocks(seed: int, copies: int, distinct: np.ndarray, m: int):
+    """Per block of ``_BLOCK`` copies, (group id, coordinate position) of every
+    member of a (copy, bucket) group holding two or more distinct coordinates.
+    Group ids count from 0 in each block; blocks without collisions are skipped."""
     for start in range(0, copies, _BLOCK):
         grid = bucket_grid(seed, min(_BLOCK, copies - start), distinct, m, start=start)
         if m <= np.iinfo(np.int32).max:
@@ -159,22 +160,14 @@ def _collision_members(seed: int, copies: int, distinct: np.ndarray,
         dup = np.flatnonzero(same.any(axis=1))
         if len(dup) == 0:
             continue
-        if packable:  # a stable argsort as one value sort: bucket above position
-            order = np.sort(grid[dup].astype(np.int64) << shift | positions, axis=1)
-            order &= (1 << shift) - 1
-        else:
-            order = np.argsort(grid[dup], axis=1, kind="stable")
+        # order inside a group is free: the corrections are sums and maxima
+        order = np.argsort(grid[dup], axis=1)
         same = same[dup]
         edge = np.zeros((len(dup), 1), dtype=bool)
         after = np.hstack([edge, same]).ravel()  # same bucket as the previous
         member = after | np.hstack([same, edge]).ravel()
-        ids = np.cumsum(~after[member]) - 1 + n_groups  # a group opens where `after` is off
-        group_ids.append(ids)
-        coords.append(order.ravel()[member])
-        n_groups = int(ids[-1]) + 1
-    if not group_ids:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(group_ids), np.concatenate(coords)
+        # a group opens at a member whose `after` is off
+        yield np.cumsum(~after[member]) - 1, order.ravel()[member]
 
 
 def stacked_power_sums(
@@ -200,41 +193,44 @@ def stacked_power_sums(
     distinct, owner_vec, owner_val, ostarts, ocounts = _ownership(vectors)
     if len(distinct) == 0:
         return totals
-    group, coord = _collision_members(seed, copies, distinct, m)
-    if len(group) == 0:
-        return totals
 
-    # one entry per (group, owner vector, value), segmented by (group, vector)
-    pos = _expand(ostarts[coord], ocounts[coord])
-    key = np.repeat(group, ocounts[coord]) * n + owner_vec[pos]
-    order = np.argsort(key, kind="stable")
-    key, val = key[order], owner_val[pos][order]
-    seg = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    seg_vec, seg_group = key[seg] % n, key[seg] // n
-    top = np.maximum.reduceat(val, seg)
-    gi, gj = _run_pairs(np.diff(np.r_[
-        np.flatnonzero(np.r_[True, seg_group[1:] != seg_group[:-1]]), len(seg)]))
+    rows = {p: np.zeros(n) for p in ps}
+    pairs = {p: np.zeros(n * n) for p in ps}
+    hits = np.zeros(len(distinct), dtype=np.int64)  # copies in which a coordinate collides
+    for group, coord in _collision_blocks(seed, copies, distinct, m):
+        hits += np.bincount(coord, minlength=len(distinct))
+        # one entry per (group, owner vector, value), segmented by (group, vector)
+        pos = _expand(ostarts[coord], ocounts[coord])
+        key = np.repeat(group, ocounts[coord]) * n + owner_vec[pos]
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], owner_val[pos][order]
+        seg = _run_starts(key)
+        seg_vec, seg_group = key[seg] % n, key[seg] // n
+        top = np.maximum.reduceat(val, seg)
+        gi, gj = _run_pairs(np.diff(_run_starts(seg_group), append=len(seg)))
+        pair_key = seg_vec[gi] * n + seg_vec[gj]
+        for p in ps:
+            tp = np.abs(top) ** p
+            rows[p] += np.bincount(seg_vec, minlength=n,
+                                   weights=tp - np.add.reduceat(np.abs(val) ** p, seg))
+            pairs[p] += np.bincount(pair_key, minlength=n * n,
+                                    weights=np.abs(top[gi] - top[gj]) ** p - tp[gi] - tp[gj])
 
-    # owner pairs of each shared coordinate, with the copies it collides in
-    hits = np.bincount(coord, minlength=len(distinct))
+    # owner pairs of each shared coordinate, weighted by the copies it collides in
     shared = np.flatnonzero((hits > 0) & (ocounts > 1))
     opos = _expand(ostarts[shared], ocounts[shared])
     ci, cj = _run_pairs(ocounts[shared])
     c_hits = np.repeat(hits[shared], ocounts[shared])[ci].astype(np.float64)
     cx, cy = owner_val[opos[ci]], owner_val[opos[cj]]
-
-    pair_key = np.r_[seg_vec[gi] * n + seg_vec[gj],
-                     owner_vec[opos[ci]] * n + owner_vec[opos[cj]]]
+    c_key = owner_vec[opos[ci]] * n + owner_vec[opos[cj]]
     for p in ps:
-        tp = np.abs(top) ** p
-        row = np.bincount(seg_vec, weights=tp - np.add.reduceat(np.abs(val) ** p, seg),
-                          minlength=n)
-        fix = np.r_[np.abs(top[gi] - top[gj]) ** p - tp[gi] - tp[gj],
-                    c_hits * (np.abs(cx) ** p + np.abs(cy) ** p - np.abs(cx - cy) ** p)]
-        pair = np.bincount(pair_key, weights=fix, minlength=n * n).reshape(n, n)
+        pairs[p] += np.bincount(c_key, minlength=n * n,
+                                weights=c_hits * (np.abs(cx) ** p + np.abs(cy) ** p
+                                                  - np.abs(cx - cy) ** p))
+        pair = pairs[p].reshape(n, n)
         t = totals[p]
-        t += row[:, None]
-        t += row[None, :]
+        t += rows[p][:, None]
+        t += rows[p][None, :]
         t += pair
         t += pair.T
         t[base[p] == 0.0] = 0.0  # equal vectors have equal images

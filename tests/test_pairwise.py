@@ -1,8 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sparse_sketch import pairwise
-from sparse_sketch.embeddings import stack_embed
 from sparse_sketch.pairwise import (
     _BLOCK,
     pair_copy_tables,
@@ -11,7 +11,7 @@ from sparse_sketch.pairwise import (
 )
 from sparse_sketch.vectors import SparseVector, lp_dist
 
-from helpers import naive_stack_linf, naive_stack_pair_powers, random_sparse, stack_of
+from helpers import naive_stack_linf, naive_stack_pair_powers, random_sparse
 
 
 def build_case(rng, signed):
@@ -30,8 +30,11 @@ def test_engine_matches_dense_stacking(signed):
     # shared supports and multi-owner coordinates
     rng = np.random.default_rng(1234 if signed else 4321)
     ps = [1.0, 2.0, 4.0]
-    for _ in range(40):
-        vecs, m, T, seed = build_case(rng, signed)
+    cases = [build_case(rng, signed) for _ in range(40)]
+    for m in (1, 3, 11):  # copies spanning three hashing blocks, the last one partial
+        vecs = [random_sparse(rng, 12, int(rng.integers(0, 5)), signed=signed) for _ in range(5)]
+        cases.append((vecs, m, 2 * _BLOCK + 37, 5 + m))
+    for vecs, m, T, seed in cases:
         got = stacked_power_sums(vecs, m, T, seed, ps)
         for p in ps:
             for i in range(len(vecs)):
@@ -93,25 +96,6 @@ def test_engine_handles_zero_vectors_and_empty_dataset():
     assert empty[2.0].shape == (0, 0)
 
 
-@pytest.mark.parametrize("signed", [False, True])
-def test_engine_matches_dense_across_hash_blocks(signed):
-    # copies span three hashing blocks, the last one partial
-    rng = np.random.default_rng(77 if signed else 78)
-    copies = 2 * _BLOCK + 37
-    ps = [1.0, 2.0, 4.0]
-    for m in (1, 3, 11):
-        vecs = [random_sparse(rng, 12, int(rng.integers(0, 5)), signed=signed)
-                for _ in range(5)]
-        got = stacked_power_sums(vecs, m, copies, 5 + m, ps)
-        st = stack_of(m, copies, 5 + m)
-        rows = [stack_embed(st, v) for v in vecs]
-        for p in ps:
-            for i in range(len(vecs)):
-                for j in range(len(vecs)):
-                    expect = 0.0 if i == j else float(np.sum(np.abs(rows[i] - rows[j]) ** p))
-                    assert got[p][i, j] == pytest.approx(expect, rel=1e-9, abs=1e-9)
-
-
 def test_engine_sums_are_nonnegative_and_zero_for_equal_vectors():
     rng = np.random.default_rng(31)
     vecs = [random_sparse(rng, 30, 6, signed=signed) for signed in (False, True) * 4]
@@ -144,15 +128,22 @@ def test_engine_rejects_unkeyable_copy_counts():
         stacked_power_sums([x, x], 1 << 40, 1 << 30, 0, [2.0])
 
 
-def test_wide_buckets_group_like_packed_ones(monkeypatch):
-    # buckets too wide to pack beside a coordinate position take the argsort
-    # path; scaling every bucket keeps the groups, so the sums are identical
-    rng = np.random.default_rng(3)
-    vecs = [random_sparse(rng, 20, 4, signed=True) for _ in range(6)]
-    want = stacked_power_sums(vecs, 5, 3, 8, [1.0, 2.0])
-    real = pairwise.bucket_grid
-    monkeypatch.setattr(pairwise, "bucket_grid", lambda seed, copies, idx, m, start=0:
-                        real(seed, copies, idx, 5, start=start) << 57)
-    got = stacked_power_sums(vecs, 1 << 60, 3, 8, [1.0, 2.0])
-    for p in (1.0, 2.0):
-        assert np.array_equal(got[p], want[p])
+def test_engine_memory_is_bounded_by_the_hashing_block():
+    # at m = 1 every copy pools all 120 vectors into one group, so each copy
+    # adds 7140 owner pairs; held for all copies at once they would need
+    # 9.1M entries (73 MB per int64 array), one block needs 0.46M
+    rng = np.random.default_rng(12)
+    vecs = [random_sparse(rng, 500, 2) for _ in range(120)]
+    copies = 20 * _BLOCK
+    base = pairwise_power_dists(vecs, [2.0])
+    tracemalloc.start()
+    try:
+        got = stacked_power_sums(vecs, 1, copies, 6, [2.0], base=base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    # one bucket per copy: each image is the vector's largest entry
+    top = np.array([max(v.values) for v in vecs])
+    assert np.allclose(got[2.0], copies * (top[:, None] - top[None, :]) ** 2,
+                       rtol=1e-9, atol=1e-9)

@@ -8,7 +8,6 @@ from .embeddings import (
     MaxHashMap,
     StackedEmbedding,
     birthday_embed,
-    build_stack,
     estimate_distance,
     estimate_sum_norm,
     max_embed,
@@ -43,4 +42,14 @@ from .vectors import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BirthdayMap", "EmbedParams", "MaxHashMap", "StackedEmbedding", "birthday_embed",
+    "estimate_distance", "estimate_sum_norm", "max_embed", "max_pool", "plan_params",
+    "stack_embed", "sum_pool",
+    "DimensionMismatch", "EmbeddingMismatch", "InternalCheckError", "NonNegativeRequired",
+    "ParseError", "PatternBudgetError", "PreconditionColumns", "PreconditionError",
+    "PreconditionShape", "SketchError",
+    "HashSpec", "hash_bucket", "mix64",
+    "INF", "Dataset", "SparseVector", "diff_vectors", "lp_dist", "lp_norm", "scale_vector",
+    "sum_vectors",
+]

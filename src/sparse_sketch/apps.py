@@ -6,12 +6,12 @@ sublinear distance-sum estimation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .embeddings import MaxHashMap, landed_buckets
+from .embeddings import MaxHashMap, landed_buckets, max_embed
 from .errors import PatternBudgetError, PreconditionError
 from .hashing import HashSpec
 from .pairwise import pairwise_power_dists, stacked_power_sums
@@ -148,10 +148,7 @@ def diameter_l1(dataset: Dataset, s: int, seed: int, k: int | None = None,
         require_nonneg(vec, what="l1 diameter sketch")
         if vec.sparsity > s:
             raise PreconditionError(f"vector has {vec.sparsity} non-zeros, budget is {s}")
-        out = np.zeros(k)
-        b, v = landed_buckets(mmap, vec)
-        out[b] = v
-        rows.append(out)
+        rows.append(max_embed(mmap, vec))
     return max_sign_range(np.stack(rows), low_memory=low_memory)
 
 
@@ -170,9 +167,7 @@ def maxcut_from_pair_powers(powers: np.ndarray) -> tuple[float, int]:
     """Exact max-cut by enumerating the 2^(n-1) bipartitions (last vector
     pinned outside the cut side). Ties resolve to the smallest mask."""
     n = powers.shape[0]
-    if n == 0:
-        return 0.0, 0
-    if n == 1:
+    if n < 2:
         return 0.0, 0
     best_val, best_mask = 0.0, 0
     total = 1 << (n - 1)
@@ -346,7 +341,7 @@ def two_partitions(n: int) -> Iterator[tuple[int, ...]]:
 # distance estimation
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistanceEstimator:
     """Sublinear estimator of sum_x ||x - y||_p^p for even p.
 
@@ -364,11 +359,15 @@ class DistanceEstimator:
     m: int
     power_sums: np.ndarray  # (R, m, p + 1); [..., e] = sum of e-th powers
     dim: int | None = None
-    last_query_ops: int = field(default=0, compare=False)
 
     @property
     def n(self) -> int:
         return int(round(self.power_sums[0, 0, 0]))
+
+    @property
+    def last_query_ops(self) -> int:
+        """Coefficients a query touches: m * (p + 1) per repetition."""
+        return self.R * self.m * (self.p + 1)
 
     def map_for(self, rep: int) -> MaxHashMap:
         return MaxHashMap(HashSpec(self.seed, rep, self.m))
@@ -378,22 +377,17 @@ class DistanceEstimator:
         if self.dim is not None and y.dim != self.dim:
             raise PreconditionError(f"estimator built over dimension {self.dim}, got {y.dim}")
         estimates = np.empty(self.R)
-        ops = 0
         binoms = [math.comb(self.p, k) for k in range(self.p + 1)]
         for rep in range(self.R):
-            z = np.zeros(self.m)
-            b, v = landed_buckets(self.map_for(rep), y)
-            z[b] = v
+            z = max_embed(self.map_for(rep), y)
             total = 0.0
             zk = np.ones(self.m)  # z^0, with 0^0 = 1
             for k in range(self.p + 1):
                 sign = -1.0 if k % 2 else 1.0
                 total += sign * binoms[k] * float(zk @ self.power_sums[rep, :, self.p - k])
-                ops += self.m
                 if k < self.p:
                     zk = zk * z
             estimates[rep] = total
-        self.last_query_ops = ops
         order = np.sort(estimates)
         return float(order[(self.R - 1) // 2])
 
@@ -448,10 +442,6 @@ def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> Distance
                     ve = ve * v
     return DistanceEstimator(p=p, eps=eps, R=reps, seed=seed, m=m,
                              power_sums=power_sums, dim=dataset.dim)
-
-
-def query_estimator(estimator: DistanceEstimator, y: SparseVector) -> float:
-    return estimator.query(y)
 
 
 def direct_distance_sum(dataset: Dataset, y: SparseVector, p) -> float:

@@ -55,7 +55,7 @@ from .probes import (
     preservation_trials,
     unif_draws,
 )
-from .vectors import INF, lp_dist, lp_norm
+from .vectors import INF, _dense_norm, lp_dist, lp_norm
 
 _SLACK = 1e-9
 
@@ -64,14 +64,6 @@ def _parse_p(text: str):
     if text.strip().lower() in ("inf", "infinity", "oo"):
         return INF
     return float(text)
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _config(args: argparse.Namespace, **extra) -> dict:
@@ -97,16 +89,6 @@ def _load_params(args, dataset) -> tuple[EmbedParams, int]:
 
 def _derived_seeds(seed: int, trials: int) -> list[int]:
     return [derive_seed(seed, 0x7218, i) % (1 << 31) for i in range(trials)]
-
-
-def _dense_norm(arr: np.ndarray, p) -> float:
-    a = np.abs(arr)
-    top = float(a.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    if p == INF:
-        return top
-    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +146,10 @@ def _distort_pairs(args, dataset, params, seed):
             ratio = emb / true if true > 0 else None
             if ratio is not None:
                 ratios.append(ratio)
-            rows.append((f"{ids[i]}|{ids[j]}", _fmt(p), true, emb, _fmt(ratio)))
+            rows.append((f"{ids[i]}|{ids[j]}", p, true, emb, ratio))
     if ratios:
-        rows.append(("summary-max", _fmt(p), "", "", max(ratios)))
-        rows.append(("summary-mean", _fmt(p), "", "", float(np.mean(ratios))))
+        rows.append(("summary-max", p, "", "", max(ratios)))
+        rows.append(("summary-mean", p, "", "", float(np.mean(ratios))))
     return ["pair", "p", "true", "embedded", "ratio"], rows
 
 
@@ -190,7 +172,7 @@ def _distort_norms(args, dataset, params, seed):
         approx_sum = _dense_norm(emb_sum, p)
         for label, approx in (("max-hash", approx_max), ("sum-hash", approx_sum)):
             ratio = approx / true if true > 0 else None
-            rows.append((vec_id, label, _fmt(p), true, approx, _fmt(ratio)))
+            rows.append((vec_id, label, p, true, approx, ratio))
     return ["id", "map", "p", "true", "embedded", "ratio"], rows
 
 
@@ -275,7 +257,7 @@ def cmd_apps(args) -> int:
             true = direct_distance_sum(dataset, q, p)
             est = estimator.query(q)
             ratio = est / true if true > 0 else None
-            rows.append((args.seed, true, est, _fmt(ratio)))
+            rows.append((args.seed, true, est, ratio))
     else:
         runner = {
             "diameter": _apps_diameter,
@@ -284,7 +266,7 @@ def cmd_apps(args) -> int:
         }[args.task]
         for run_seed in _derived_seeds(args.seed, args.trials):
             true, sketch, ratio = runner(args, dataset, run_seed)
-            rows.append((run_seed, true, _fmt(sketch), _fmt(ratio)))
+            rows.append((run_seed, true, sketch, ratio))
     io.write_report(args.output, config, ["seed", "true_value", "sketch_value", "ratio"], rows)
     return 0
 
@@ -393,7 +375,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, json.JSONDecodeError) as e:
+    except (ParseError, OSError, json.JSONDecodeError, UnicodeError) as e:
         print(f"sparse-sketch: input error: {e}", file=sys.stderr)
         return 2
     except InternalCheckError as e:

@@ -7,6 +7,10 @@ Two pooling rules over the same bucket hash:
 * max pooling (``MaxHashMap``): non-linear; never expands distances
   between non-negative vectors, at any bucket count.
 
+Every max pool runs one kernel, ``pairwise._max_pool_keys``: it is
+``landed_buckets`` (the sparse image), ``max_pool`` scatters it into a dense
+row, and ``stack_embed`` is one ``max_pool`` over keys copy * m + bucket.
+
 A ``StackedEmbedding`` concatenates independent max-pool copies; the
 parameter planner turns (mode, sparsity, dataset size, accuracy) into a
 concrete (bucket count m, copy count T). The planner's leading constants
@@ -18,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
-from .errors import EmbeddingMismatch, PreconditionError
+from .errors import EmbeddingMismatch, ParseError, PreconditionError
 from .hashing import HashSpec, bucket_array, bucket_grid
-from .pairwise import pair_copy_tables
+from .pairwise import _max_pool_keys, pair_copy_tables
 from .vectors import INF, SparseVector, _check_p, require_nonneg
 
 MODES = ("all-p", "linf-exact", "sum-linf", "discrete")
@@ -45,14 +48,9 @@ def max_pool(buckets, values, m: int) -> np.ndarray:
     single negative value reports that negative value, not 0.
     """
     out = np.zeros(m, dtype=np.float64)
-    b = np.asarray(buckets, dtype=np.int64)
-    v = np.asarray(values, dtype=np.float64)
-    if len(b) == 0:
-        return out
-    filled = np.full(m, -np.inf)
-    np.maximum.at(filled, b, v)
-    landed = filled > -np.inf
-    out[landed] = filled[landed]
+    b, v = _max_pool_keys(np.asarray(buckets, dtype=np.int64),
+                          np.asarray(values, dtype=np.float64))
+    out[b] = v
     return out
 
 
@@ -87,15 +85,8 @@ class MaxHashMap:
 
 def landed_buckets(mmap: MaxHashMap, x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
     """Sparse image of x: sorted unique buckets and their pooled maxima."""
-    if x.sparsity == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     buckets = bucket_array(mmap.spec, np.asarray(x.indices, dtype=np.uint64))
-    order = np.argsort(buckets, kind="stable")
-    b = buckets[order]
-    v = np.asarray(x.values, dtype=np.float64)[order]
-    starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
-    maxima = np.maximum.reduceat(v, starts)
-    return b[starts], maxima
+    return _max_pool_keys(buckets, np.asarray(x.values, dtype=np.float64))
 
 
 def max_embed(mmap: MaxHashMap, x: SparseVector) -> np.ndarray:
@@ -118,6 +109,10 @@ class EmbedParams:
     m: int
     T: int
 
+    def __post_init__(self):
+        if self.m < 1 or self.T < 1:
+            raise ValueError("m and T must be >= 1")
+
     def to_json_dict(self, seed: int) -> dict:
         return {
             "mode": self.mode,
@@ -133,17 +128,27 @@ class EmbedParams:
 
     @staticmethod
     def from_json_dict(obj: dict) -> tuple["EmbedParams", int]:
-        params = EmbedParams(
-            mode=obj["mode"],
-            s=int(obj["s"]),
-            n=int(obj["n"]),
-            eps=float(obj["eps"]),
-            delta=None if obj.get("delta") is None else int(obj["delta"]),
-            p=None if obj.get("p") is None else float(obj["p"]),
-            m=int(obj["m"]),
-            T=int(obj["T"]),
-        )
-        return params, int(obj["seed"])
+        """Params and seed from their JSON object. A missing or ill-typed key
+        is a ParseError; m or T below 1 is a ValueError, as for overrides."""
+        if not isinstance(obj, dict):
+            raise ParseError("params JSON must be an object")
+        try:
+            fields = dict(
+                mode=obj["mode"],
+                s=int(obj["s"]),
+                n=int(obj["n"]),
+                eps=float(obj["eps"]),
+                delta=None if obj.get("delta") is None else int(obj["delta"]),
+                p=None if obj.get("p") is None else float(obj["p"]),
+                m=int(obj["m"]),
+                T=int(obj["T"]),
+            )
+            seed = int(obj["seed"])
+        except KeyError as e:
+            raise ParseError(f"params JSON lacks key {e}")
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ParseError(f"params JSON has an ill-typed value: {e}")
+        return EmbedParams(**fields), seed
 
 
 def plan_params(
@@ -236,32 +241,14 @@ class StackedEmbedding:
             raise IndexError(f"copy index {copy_index} outside 0..{self.params.T - 1}")
         return MaxHashMap(HashSpec(self.seed, copy_index, self.params.m))
 
-    def maps(self) -> Iterator[MaxHashMap]:
-        for c in range(self.params.T):
-            yield self.map_for(c)
-
-
-def build_stack(params: EmbedParams, seed: int) -> StackedEmbedding:
-    return StackedEmbedding(params=params, seed=seed)
-
 
 def stack_embed(stack: StackedEmbedding, x: SparseVector) -> np.ndarray:
-    """Dense concatenation of the T copy outputs, copy 0 first."""
+    """Dense concatenation of the T copy outputs, copy 0 first: one max pool
+    over the keys copy * m + bucket."""
     m, T = stack.m, stack.T
-    out = np.zeros(m * T, dtype=np.float64)
-    if x.sparsity == 0:
-        return out
-    idx = np.asarray(x.indices, dtype=np.uint64)
-    vals = np.asarray(x.values, dtype=np.float64)
-    grid = bucket_grid(stack.seed, T, idx, m)
-    for c in range(T):
-        seg = out[c * m:(c + 1) * m]
-        b = grid[c]
-        filled = np.full(m, -np.inf)
-        np.maximum.at(filled, b, vals)
-        landed = filled > -np.inf
-        seg[landed] = filled[landed]
-    return out
+    grid = bucket_grid(stack.seed, T, np.asarray(x.indices, dtype=np.uint64), m)
+    keys = np.arange(T, dtype=np.int64)[:, None] * m + grid
+    return max_pool(keys.ravel(), np.tile(np.asarray(x.values, dtype=np.float64), T), m * T)
 
 
 def estimate_distance(stack: StackedEmbedding, x: SparseVector, y: SparseVector, p) -> float:
@@ -317,20 +304,7 @@ def estimate_sum_norm(stack: StackedEmbedding, x: SparseVector, y: SparseVector)
     return x.max_value() + y.max_value()
 
 
-def plan_for_dataset(mode: str, dataset, eps: float, delta: int | None = None,
-                     p: float | None = None, **kw) -> EmbedParams:
-    """Planner convenience: sparsity and size taken from the dataset."""
-    return plan_params(mode, max(1, dataset.max_sparsity), max(2, len(dataset)),
-                       eps, delta=delta, p=p, **kw)
-
-
 def with_overrides(params: EmbedParams, m: int | None = None, T: int | None = None) -> EmbedParams:
     """Manual (m, T) overrides, e.g. for fixed-budget experiments."""
-    out = params
-    if m is not None:
-        out = replace(out, m=int(m))
-    if T is not None:
-        out = replace(out, T=int(T))
-    if out.m < 1 or out.T < 1:
-        raise ValueError("m and T must be >= 1")
-    return out
+    return replace(params, m=params.m if m is None else int(m),
+                   T=params.T if T is None else int(T))

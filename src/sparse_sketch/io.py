@@ -26,6 +26,9 @@ from .vectors import Dataset, SparseVector
 
 
 def _format_value(v) -> str:
+    """One CSV cell: floats by repr (round-trips exactly), None empty."""
+    if v is None:
+        return ""
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -35,9 +38,36 @@ def config_line(config: dict) -> str:
     return "# config: " + json.dumps(config, sort_keys=True, separators=(", ", ": "))
 
 
+_INDEX_LIMIT = 1 << 64  # the bucket hash keys coordinates as uint64
+
+
+def _entry(idx, val, lineno: int) -> tuple[int, float]:
+    """One checked (index, value) entry of a dataset record."""
+    try:
+        idx, val = int(idx), float(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"bad entry {f'{idx}:{val}'!r}", lineno)
+    if not 0 <= idx < _INDEX_LIMIT:
+        raise ParseError(f"index {idx} outside 0..2^64-1", lineno)
+    return idx, val
+
+
+def _dataset(records: list, dim: int | None) -> Dataset:
+    """Dataset from (line number, id, entries) records; the dimension is
+    inferred as max index + 1 when not given."""
+    if dim is None:
+        dim = 1 + max((i for _, _, pairs in records for i, _ in pairs), default=0)
+    vectors = []
+    for lineno, vec_id, pairs in records:
+        try:
+            vectors.append((vec_id, SparseVector.from_pairs(pairs, dim)))
+        except ValueError as e:
+            raise ParseError(f"vector {vec_id!r}: {e}", lineno)
+    return Dataset.from_items(vectors, dim)
+
+
 def parse_dataset_text(lines: Iterable[str], dim: int | None = None) -> Dataset:
-    items: list[tuple[str, list[tuple[int, float]]]] = []
-    max_index = -1
+    records = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         stripped = line.strip()
@@ -52,66 +82,38 @@ def parse_dataset_text(lines: Iterable[str], dim: int | None = None) -> Dataset:
                     raise ParseError(f"bad dimension directive {stripped!r}", lineno)
             continue
         parts = line.split("\t")
+        # "id" alone is the zero vector
         if len(parts) != 2 and not (len(parts) == 1 and " " not in parts[0]):
-            # allow "id" alone for the zero vector
-            if len(parts) != 2:
-                raise ParseError("expected 'id<TAB>idx:value ...'", lineno)
-        vec_id = parts[0]
-        pairs: list[tuple[int, float]] = []
-        if len(parts) == 2 and parts[1].strip():
-            for tok in parts[1].split():
-                if ":" not in tok:
-                    raise ParseError(f"bad entry {tok!r}, expected idx:value", lineno)
-                idx_s, val_s = tok.split(":", 1)
-                try:
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise ParseError(f"bad entry {tok!r}", lineno)
-                if idx < 0:
-                    raise ParseError(f"negative index {idx}", lineno)
-                pairs.append((idx, val))
-                max_index = max(max_index, idx)
-        items.append((vec_id, pairs))
-    if dim is None:
-        dim = max_index + 1 if max_index >= 0 else 1
-    vectors = []
-    for lineno_id, (vec_id, pairs) in enumerate(items):
-        try:
-            vectors.append((vec_id, SparseVector.from_pairs(pairs, dim)))
-        except ValueError as e:
-            raise ParseError(f"vector {vec_id!r}: {e}")
-    return Dataset.from_items(vectors, dim)
+            raise ParseError("expected 'id<TAB>idx:value ...'", lineno)
+        pairs = []
+        for tok in parts[1].split() if len(parts) == 2 else ():
+            if ":" not in tok:
+                raise ParseError(f"bad entry {tok!r}, expected idx:value", lineno)
+            pairs.append(_entry(*tok.split(":", 1), lineno))
+        records.append((lineno, parts[0], pairs))
+    return _dataset(records, dim)
 
 
 def parse_dataset_jsonl(lines: Iterable[str], dim: int | None = None) -> Dataset:
     records = []
-    max_index = -1
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise ParseError(f"bad JSON: {e}", lineno)
-        if "id" not in obj or "coords" not in obj:
-            raise ParseError("record needs 'id' and 'coords'", lineno)
+        if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj.get("coords"), dict):
+            raise ParseError("record needs 'id' and a 'coords' object", lineno)
         if "d" in obj:
-            dim = int(obj["d"])
-        pairs = []
-        for k, v in obj["coords"].items():
             try:
-                idx = int(k)
-            except ValueError:
-                raise ParseError(f"bad coordinate index {k!r}", lineno)
-            pairs.append((idx, float(v)))
-            max_index = max(max_index, idx)
-        records.append((str(obj["id"]), pairs))
-    if dim is None:
-        dim = max_index + 1 if max_index >= 0 else 1
-    return Dataset.from_items(
-        [(i, SparseVector.from_pairs(p, dim)) for i, p in records], dim
-    )
+                dim = int(obj["d"])
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"bad dimension {obj['d']!r}", lineno)
+        pairs = [_entry(k, v, lineno) for k, v in obj["coords"].items()]
+        records.append((lineno, str(obj["id"]), pairs))
+    return _dataset(records, dim)
 
 
 def read_dataset(path: str, dim: int | None = None) -> Dataset:

@@ -1,11 +1,16 @@
 """Bulk pairwise distance evaluation under stacked max-pool embeddings.
 
+``_max_pool_keys`` is the package's one max-pool kernel (sorted distinct
+keys, the max of the values on each). ``pair_copy_tables`` and
+``embeddings.landed_buckets``, ``max_pool`` and ``stack_embed`` pool with it.
+
 Two evaluation strategies, both exact (up to float roundoff) and
 cross-checked against the dense definition in the test suite:
 
-* ``pair_copy_tables``: one segmented pass over the (copy, bucket) groups
-  of a single pair's union support. Memory O(T * union). Also gives the
-  per-copy max-norm distances, which nothing else computes.
+* ``pair_copy_tables``: one kernel call over the (copy, bucket) keys of a
+  single pair's union support, pooling the x and y columns together.
+  Memory O(T * union). Also gives the per-copy max-norm distances, which
+  nothing else computes.
 * ``stacked_power_sums``: all pairs of a dataset at once, for finite p. A
   copy without collisions contributes exactly the true distance, so the
   T-fold sum is T * D plus corrections at the (copy, bucket) groups that
@@ -63,27 +68,18 @@ def pair_copy_tables(
     if not union or copies == 0:
         return out
     xd, yd = x.to_dict(), y.to_dict()
-    xv = np.array([xd.get(i, 0.0) for i in union])
-    yv = np.array([yd.get(i, 0.0) for i in union])
-    k = len(union)
+    # an absent side goes in as -inf, so the maxima run over landed support
+    # only, and comes out as 0
+    vals = np.array([[xd.get(i, -np.inf), yd.get(i, -np.inf)] for i in union])
     if copies * m >= _POS_LIMIT:
         raise ValueError("copies * m too large to key")
 
     grid = bucket_grid(seed, copies, np.asarray(union, dtype=np.uint64), m)
     keys = (np.arange(copies, dtype=np.int64)[:, None] * m + grid).ravel()
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    xs = np.tile(xv, (copies, 1)).ravel()[order]
-    ys = np.tile(yv, (copies, 1)).ravel()[order]
-
-    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-    # pooled maxima over landed support only; absent side counts as 0
-    fx = np.maximum.reduceat(np.where(xs != 0.0, xs, -np.inf), starts)
-    fy = np.maximum.reduceat(np.where(ys != 0.0, ys, -np.inf), starts)
-    fx = np.where(np.isneginf(fx), 0.0, fx)
-    fy = np.where(np.isneginf(fy), 0.0, fy)
-    d = np.abs(fx - fy)
-    seg_copy = (ks[starts] // m).astype(np.int64)
+    ks, top = _max_pool_keys(keys, np.tile(vals, (copies, 1)))
+    top[np.isneginf(top)] = 0.0
+    d = np.abs(top[:, 0] - top[:, 1])
+    seg_copy = ks // m
     for p in ps:
         out[p] = np.bincount(seg_copy, weights=d ** float(p), minlength=copies)
     if with_linf:
@@ -125,7 +121,16 @@ def _ownership(vectors: Sequence[SparseVector]):
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """Positions where the runs of equal values of a sorted array begin."""
-    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    return np.flatnonzero(np.concatenate(([len(a) > 0], a[1:] != a[:-1])))
+
+
+def _max_pool_keys(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The max-pool kernel: sorted distinct keys and the max of the values
+    landing on each. A 2-D `values` is pooled column by column."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = _run_starts(keys)
+    return keys[starts], np.maximum.reduceat(values[order], starts)
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

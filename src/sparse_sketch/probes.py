@@ -22,7 +22,7 @@ from .errors import (
     PreconditionShape,
 )
 from .hashing import HashSpec, bucket_array, derive_seed
-from .vectors import INF, SparseVector, _check_p
+from .vectors import INF, SparseVector, _check_p, _dense_norm
 
 _EXACT_RTOL = 1e-9
 _SUPPORT_DENSE_BUDGET = 20_000_000
@@ -104,16 +104,6 @@ def sample_unif(spec: UnifSpec, draw: int = 0) -> SparseVector:
     return SparseVector.from_pairs(zip(supports[draw].tolist(), values[draw].tolist()), spec.d)
 
 
-def _norm_p(arr: np.ndarray, p: float) -> float:
-    a = np.abs(arr)
-    top = float(a.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    if p == INF:
-        return top
-    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
-
-
 def preservation_trials(
     lin_map: DenseLinearMap,
     spec: UnifSpec,
@@ -163,7 +153,7 @@ def preservation_trials(
             ok = np.empty(size, dtype=bool)
             for i in range(size):
                 emb = lin_map.matrix[:, supports[i]] @ values[i]
-                ne, nt = _norm_p(emb, p), _norm_p(values[i], p)
+                ne, nt = _dense_norm(emb, p), _dense_norm(values[i], p)
                 if nt == 0.0:
                     stat[i], ok[i] = (0.0, ne == 0.0)
                 elif gamma == 0.0:

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import DimensionMismatch, NonNegativeRequired
 
 #: Distinguished marker for the max norm. Not a stand-in "large float":
@@ -41,6 +43,18 @@ def _reduce_abs(abs_vals: Iterable[float], p: float) -> float:
     for v in vals:
         acc += (v / top) ** p
     return top * acc ** (1.0 / p)
+
+
+def _dense_norm(arr: np.ndarray, p) -> float:
+    """The same scaled norm over a dense array, summed by numpy (so its last
+    bits can differ from the scalar loop above)."""
+    a = np.abs(arr)
+    top = float(a.max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    if p == INF:
+        return top
+    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
 import json
+import tempfile
+from contextlib import redirect_stderr
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_sketch import io
 from sparse_sketch.cli import _parse_p, main
@@ -9,7 +15,7 @@ from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.embeddings import estimate_distance
 from sparse_sketch.vectors import Dataset, SparseVector
 
-from helpers import stack_of
+from helpers import manual_params, stack_of
 
 
 def write_data(tmp_path, name="data.tsv", n=6, s=3, d=500, seed=1):
@@ -336,3 +342,98 @@ def test_config_echo_is_first_line(tmp_path):
     first = read_lines(out).splitlines()[0]
     assert first.startswith("# config: ")
     json.loads(first[len("# config: "):])
+
+
+def _run(argv, capsys):
+    rc = main(argv)
+    return rc, capsys.readouterr().err
+
+
+_OK_TSV, _OK_JSONL = b"ok\t0:1.0\n", b'{"id": "ok", "coords": {"0": 1.0}}\n'
+
+
+@pytest.mark.parametrize("name, body, where", [
+    ("in.jsonl", _OK_JSONL + b'{"id": "a", "coords": [1, 2]}', "line 2"),  # coords not an object
+    ("in.jsonl", _OK_JSONL + b'{"id": "a", "coords": {"3": "abc"}}', "line 2"),  # value not a number
+    ("in.jsonl", _OK_JSONL + b'{"id": "a", "coords": {"3": NaN}}', "line 2"),  # non-finite value
+    ("in.jsonl", _OK_JSONL + b"5", "line 2"),  # record not an object
+    # indices past the hash's uint64 keys
+    ("in.jsonl", _OK_JSONL + b'{"id": "a", "coords": {"18446744073709551616": 1}}', "line 2"),
+    ("in.tsv", _OK_TSV + b"a\t18446744073709551616:1.0", "line 2"),
+    ("in.tsv", _OK_TSV + b"\xe9\t0:1.0", ""),  # not UTF-8
+], ids=["coords-list", "value-text", "value-nan", "record-int", "jsonl-index-2^64",
+        "tsv-index-2^64", "not-utf8"])
+def test_bad_dataset_line_is_an_input_error(tmp_path, capsys, name, body, where):
+    path = tmp_path / name
+    path.write_bytes(body + b"\n")
+    rc, err = _run(["distort", "--input", str(path), "--output", str(tmp_path / "o.csv"),
+                    "--m", "5", "--T", "2"], capsys)
+    assert rc == 2 and where in err
+    assert "Traceback" not in err
+
+
+def _params_file(tmp_path, **changes):
+    """Params JSON of a valid m = 4, T = 3 embedding with `changes` applied;
+    a change to ... drops the key."""
+    params = manual_params(4, 3).to_json_dict(seed=1)
+    params.update(changes)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({k: v for k, v in params.items() if v is not ...}))
+    return str(path)
+
+
+@pytest.mark.parametrize("changes", [{"T": ...}, {"m": None}, {"s": "x"}, {"seed": [1]}])
+def test_bad_params_json_is_an_input_error(tmp_path, capsys, changes):
+    data, _ = write_data(tmp_path)
+    rc, err = _run(["embed", "--input", data, "--output", str(tmp_path / "o.csv"),
+                    "--params", _params_file(tmp_path, **changes)], capsys)
+    assert rc == 2 and "params JSON" in err
+    assert "Traceback" not in err
+
+
+def test_params_json_with_zero_copies_is_a_precondition_error(tmp_path, capsys):
+    data, _ = write_data(tmp_path)
+    out = tmp_path / "o.csv"
+    rc, err = _run(["embed", "--input", data, "--output", str(out),
+                    "--params", _params_file(tmp_path, T=0)], capsys)
+    assert rc == 3 and "Traceback" not in err
+    assert not out.exists()
+
+
+_number = st.one_of(st.integers(-2, 2**65), st.floats(),
+                    st.sampled_from(["abc", "nan", "-inf", "1e999", ""]))
+_junk = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_tsv_lines = st.one_of(
+    st.builds(lambda i, es: i + "\t" + " ".join(es),
+              st.sampled_from(["a", "b", "c"]),
+              st.lists(st.one_of(st.builds("{}:{}".format, _number, _number), _junk),
+                       max_size=5)),
+    st.builds("# d: {}".format, _number),
+    _junk,
+)
+_json_value = st.one_of(st.none(), st.booleans(), st.integers(-2, 2**65), st.floats(),
+                        st.text(max_size=3), st.lists(st.integers(), max_size=2))
+_jsonl_lines = st.one_of(
+    st.builds(json.dumps, st.fixed_dictionaries(
+        {"id": _json_value,
+         "coords": st.one_of(st.dictionaries(st.one_of(_number.map(str), _junk),
+                                             _json_value, max_size=5), _json_value)},
+        optional={"d": _json_value})),
+    _junk,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(suffix=st.sampled_from([".tsv", ".jsonl"]), data=st.data(),
+       p=st.sampled_from(["1", "2", "inf"]))
+def test_distort_exit_codes_on_any_input(suffix, data, p):
+    lines = data.draw(st.lists(_tsv_lines if suffix == ".tsv" else _jsonl_lines, max_size=6))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("in" + suffix)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = StringIO()
+        with redirect_stderr(err):
+            rc = main(["distort", "--input", str(path), "--output", str(Path(tmp) / "o.csv"),
+                       "--m", "5", "--T", "3", "--p", p])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -11,8 +11,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .embeddings import MaxHashMap, landed_buckets, max_embed
-from .errors import PatternBudgetError, PreconditionError
+from .embeddings import MaxHashMap, landed_buckets, max_embed, require_cells
+from .errors import ParseError, PatternBudgetError, PreconditionError
 from .hashing import HashSpec
 from .pairwise import pairwise_power_dists, stacked_power_sums
 from .vectors import (
@@ -47,8 +47,7 @@ def diameter_exact(dataset: Dataset, p) -> float:
     return best
 
 
-def diameter_linf_stream(vectors: Iterable[SparseVector], s: int, seed: int,
-                         m: int | None = None) -> float:
+def diameter_linf_stream(vectors: Iterable[SparseVector], s: int, seed: int) -> float:
     """Single-pass max-norm diameter sketch over non-negative s-sparse input.
 
     Projects each vector through one max-pool map with m = 100 s buckets and
@@ -56,8 +55,8 @@ def diameter_linf_stream(vectors: Iterable[SparseVector], s: int, seed: int,
     answer is the largest per-bucket range. Never exceeds the true max-norm
     diameter; memory is O(m) words regardless of stream length.
     """
-    if m is None:
-        m = 100 * max(1, s)
+    m = 100 * max(1, s)
+    require_cells(m, "max-norm diameter sketch")
     mmap = MaxHashMap(HashSpec(seed, 0, m))
     hi = np.full(m, -np.inf)
     lo = np.full(m, np.inf)
@@ -79,24 +78,18 @@ def diameter_linf_stream(vectors: Iterable[SparseVector], s: int, seed: int,
     return float(np.max((hi - floor)[touched], initial=0.0))
 
 
-def _sign_range_stream(rows: np.ndarray) -> float:
-    """Gray-code walk over all sign patterns, O(k) extra memory."""
-    n, k = rows.shape
-    signs = np.ones(k)
-    dots = rows.sum(axis=1)
-    best = float(dots.max() - dots.min())
-    for g in range(1, 1 << k):
-        bit = (g & -g).bit_length() - 1
-        signs[bit] = -signs[bit]
-        dots += 2.0 * signs[bit] * rows[:, bit]
-        best = max(best, float(dots.max() - dots.min()))
-    return best
+def max_sign_range(rows: np.ndarray) -> float:
+    """max over sign patterns S of (max_v S.v - min_v S.v); equals the
+    largest pairwise l1 distance among the rows.
 
-
-def _sign_range_blocked(rows: np.ndarray, block: int = 1 << 14) -> float:
-    """Same maximum computed in vectorized pattern blocks."""
+    The 2^k patterns go through in blocks of 2^14, fewer above 256 rows, so
+    a block's (rows, patterns) product holds at most 2^22 floats."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n, k = rows.shape
+    if n < 2:
+        return 0.0
     total = 1 << k
+    block = max(1, min(1 << 14, (1 << 22) // n))
     best = 0.0
     for start in range(0, total, block):
         codes = np.arange(start, min(start + block, total), dtype=np.int64)
@@ -107,25 +100,13 @@ def _sign_range_blocked(rows: np.ndarray, block: int = 1 << 14) -> float:
     return best
 
 
-def max_sign_range(rows: np.ndarray, low_memory: bool = False) -> float:
-    """max over sign patterns S of (max_v S.v - min_v S.v); equals the
-    largest pairwise l1 distance among the rows."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if rows.shape[0] < 2:
-        return 0.0
-    if low_memory:
-        return _sign_range_stream(rows)
-    return _sign_range_blocked(rows)
-
-
-def diameter_l1(dataset: Dataset, s: int, seed: int, k: int | None = None,
-                pattern_budget: int = _PATTERN_BUDGET, low_memory: bool = False) -> float:
+def diameter_l1(dataset: Dataset, s: int, seed: int, k: int | None = None) -> float:
     """l1 diameter sketch: max-pool to k buckets, then reduce l1 to the
     max norm by enumerating all 2^k sign patterns.
 
     Never exceeds the true l1 diameter for non-negative input. k defaults
-    to min(3 s, pattern_budget); anything above the budget raises, since
-    the pattern pass walks all 2^k sign rows.
+    to min(3 s, 24); a k above 24 raises PatternBudgetError, since the
+    pattern pass walks all 2^k sign rows.
 
     Equality holds when some witness pair (one at the true diameter) has
     its union support land in distinct buckets; for continuous values any
@@ -135,11 +116,11 @@ def diameter_l1(dataset: Dataset, s: int, seed: int, k: int | None = None,
     u = 10, k = 15, so exact answers are the exception, not the rule.
     """
     if k is None:
-        k = min(3 * max(1, s), pattern_budget)
+        k = min(3 * max(1, s), _PATTERN_BUDGET)
     if k < 1:
         raise PreconditionError("need at least one projected dimension")
-    if k > pattern_budget:
-        raise PatternBudgetError(f"k={k} exceeds the 2^k enumeration budget of {pattern_budget}")
+    if k > _PATTERN_BUDGET:
+        raise PatternBudgetError(f"k={k} exceeds the 2^k enumeration budget of {_PATTERN_BUDGET}")
     if len(dataset) < 2:
         return 0.0
     mmap = MaxHashMap(HashSpec(seed, 0, k))
@@ -149,7 +130,7 @@ def diameter_l1(dataset: Dataset, s: int, seed: int, k: int | None = None,
         if vec.sparsity > s:
             raise PreconditionError(f"vector has {vec.sparsity} non-zeros, budget is {s}")
         rows.append(max_embed(mmap, vec))
-    return max_sign_range(np.stack(rows), low_memory=low_memory)
+    return max_sign_range(np.stack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +339,7 @@ class DistanceEstimator:
     seed: int
     m: int
     power_sums: np.ndarray  # (R, m, p + 1); [..., e] = sum of e-th powers
-    dim: int | None = None
+    dim: int
 
     @property
     def n(self) -> int:
@@ -374,7 +355,7 @@ class DistanceEstimator:
 
     def query(self, y: SparseVector) -> float:
         require_nonneg(y, what="distance estimation query")
-        if self.dim is not None and y.dim != self.dim:
+        if y.dim != self.dim:
             raise PreconditionError(f"estimator built over dimension {self.dim}, got {y.dim}")
         estimates = np.empty(self.R)
         binoms = [math.comb(self.p, k) for k in range(self.p + 1)]
@@ -399,20 +380,26 @@ class DistanceEstimator:
             "R": self.R,
             "seed": self.seed,
             "m": self.m,
+            "dim": self.dim,
             "tables": tables.tolist(),
         }
 
     @staticmethod
     def from_json_dict(obj: dict) -> "DistanceEstimator":
-        tables = np.asarray(obj["tables"], dtype=np.float64)
-        return DistanceEstimator(
-            p=int(obj["p"]),
-            eps=float(obj["eps"]),
-            R=int(obj["R"]),
-            seed=int(obj["seed"]),
-            m=int(obj["m"]),
-            power_sums=tables[:, :, ::-1].copy(),
-        )
+        """Inverse of `to_json_dict`; a missing key is a ParseError."""
+        try:
+            tables = np.asarray(obj["tables"], dtype=np.float64)
+            return DistanceEstimator(
+                p=int(obj["p"]),
+                eps=float(obj["eps"]),
+                R=int(obj["R"]),
+                seed=int(obj["seed"]),
+                m=int(obj["m"]),
+                power_sums=tables[:, :, ::-1].copy(),
+                dim=int(obj["dim"]),
+            )
+        except KeyError as e:
+            raise ParseError(f"estimator JSON lacks key {e}")
 
 
 def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> DistanceEstimator:
@@ -429,6 +416,7 @@ def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> Distance
     s = max(1, dataset.max_sparsity)
     reps = max(1, math.ceil(8.0 * math.log(max(2, n))))
     m = math.ceil(200.0 * s / (eps * eps))
+    require_cells(reps * m * (p + 1), "estimator tables")
     power_sums = np.zeros((reps, m, p + 1))
     power_sums[:, :, 0] = float(n)  # 0^0 := 1 for every bucket and vector
     for rep in range(reps):

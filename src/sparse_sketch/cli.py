@@ -37,6 +37,7 @@ from .embeddings import (
     birthday_embed,
     estimate_distance,
     plan_params,
+    require_cells,
     stack_embed,
     with_overrides,
 )
@@ -97,18 +98,16 @@ def _derived_seeds(seed: int, trials: int) -> list[int]:
 
 def cmd_embed(args) -> int:
     dataset = io.read_dataset(args.input)
-    if not dataset.nonneg and args.mode in ("all-p", "linf-exact", "sum-linf"):
-        raise PreconditionError(
-            f"mode {args.mode!r} requires a non-negative dataset"
-        )
     params, seed = _load_params(args, dataset)
+    if not dataset.nonneg and params.mode != "discrete":
+        raise PreconditionError(f"mode {params.mode!r} requires a non-negative dataset")
     stack = StackedEmbedding(params, seed)
     width = params.m * params.T
+    require_cells(width, "embedding row")
     config = _config(args, width=width, **params.to_json_dict(seed))
     io.write_embedding_csv(args.output, config, list(dataset.ids),
                            (stack_embed(stack, v) for _, v in dataset), width)
-    io.write_json(args.params or io.default_params_path(args.output),
-                  params.to_json_dict(seed))
+    io.write_json(io.default_params_path(args.output), params.to_json_dict(seed))
     return 0
 
 
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="input dataset file (.tsv text or .jsonl)")
         sp.add_argument("--output", required=output_required, help="output CSV path")
         sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        sp.add_argument("--params", help="embedding params JSON (read)")
+        sp.add_argument("--params", help="embedding params JSON (read only)")
         sp.add_argument("--mode", default="all-p",
                         choices=["all-p", "linf-exact", "sum-linf", "discrete"],
                         help="planner mode (default all-p)")

@@ -14,8 +14,8 @@ row, and ``stack_embed`` is one ``max_pool`` over keys copy * m + bucket.
 A ``StackedEmbedding`` concatenates independent max-pool copies; the
 parameter planner turns (mode, sparsity, dataset size, accuracy) into a
 concrete (bucket count m, copy count T). The planner's leading constants
-are this library's defaults, chosen so the desk-scale guarantees hold with
-margin; they are keyword-overridable.
+are this library's choices, fixed so the desk-scale guarantees hold with
+margin.
 """
 
 from __future__ import annotations
@@ -31,6 +31,17 @@ from .pairwise import _max_pool_keys, pair_copy_tables
 from .vectors import INF, SparseVector, _check_p, require_nonneg
 
 MODES = ("all-p", "linf-exact", "sum-linf", "discrete")
+
+# Largest float64 array (2^26 cells, 512 MiB) a stacked row, the
+# estimator's tables or a diameter sketch may take; the tests and
+# benchmarks stay below 2^22.
+CELL_BUDGET = 1 << 26
+
+
+def require_cells(cells: int, what: str) -> None:
+    """PreconditionError unless `cells` fits in CELL_BUDGET."""
+    if cells > CELL_BUDGET:
+        raise PreconditionError(f"{what} needs {cells} cells, above the budget of {CELL_BUDGET}")
 
 
 def sum_pool(buckets, values, m: int) -> np.ndarray:
@@ -128,52 +139,51 @@ class EmbedParams:
 
     @staticmethod
     def from_json_dict(obj: dict) -> tuple["EmbedParams", int]:
-        """Params and seed from their JSON object. A missing or ill-typed key
-        is a ParseError; m or T below 1 is a ValueError, as for overrides."""
+        """Params and seed from their JSON object. A missing or ill-typed key,
+        a mode outside MODES or a non-integral s, n, delta, m, T or seed is
+        a ParseError; m or T below 1 is a ValueError, as for overrides."""
         if not isinstance(obj, dict):
             raise ParseError("params JSON must be an object")
+
+        def integral(key):
+            value = obj[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or int(value) != value:
+                raise TypeError(f"non-integral {key!r}: {value!r}")
+            return int(value)
+
         try:
             fields = dict(
                 mode=obj["mode"],
-                s=int(obj["s"]),
-                n=int(obj["n"]),
+                s=integral("s"),
+                n=integral("n"),
                 eps=float(obj["eps"]),
-                delta=None if obj.get("delta") is None else int(obj["delta"]),
+                delta=None if obj.get("delta") is None else integral("delta"),
                 p=None if obj.get("p") is None else float(obj["p"]),
-                m=int(obj["m"]),
-                T=int(obj["T"]),
+                m=integral("m"),
+                T=integral("T"),
             )
-            seed = int(obj["seed"])
+            seed = integral("seed")
         except KeyError as e:
             raise ParseError(f"params JSON lacks key {e}")
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"params JSON has an ill-typed value: {e}")
+        if fields["mode"] not in MODES:
+            raise ParseError(f"params JSON has an unknown mode {fields['mode']!r}")
         return EmbedParams(**fields), seed
 
 
-def plan_params(
-    mode: str,
-    s: int,
-    n: int,
-    eps: float,
-    delta: int | None = None,
-    p: float | None = None,
-    *,
-    m_const: float | None = None,
-    t_const: float | None = None,
-    discrete_base: float | None = None,
-) -> EmbedParams:
+def plan_params(mode: str, s: int, n: int, eps: float, delta: int | None = None,
+                p: float | None = None) -> EmbedParams:
     """Concrete (m, T) for an embedding mode.
 
-    Defaults (library choices, not canonical values):
+    The leading constants are library choices, not canonical values:
 
     * all-p:      m = ceil(200 s / eps),            T = ceil(50 ln(n s) / eps)
     * linf-exact: m = 20 s,                         T = ceil(3 ln n) + 1
     * sum-linf:   m = 1,                            T = 1
     * discrete:   m = ceil(100 s^2 base^p / eps),   T = ceil(50 ln(n) base^p / eps)
-      with base = 2*delta unless overridden via `discrete_base`.
-
-    `m_const`/`t_const` replace the leading constants when supplied.
+      with base = 2 delta.
 
     Discrete mode is two-sided: signed entries void max pooling's
     non-expansion, and the base^p range factor sizes (m, T) so that, with
@@ -191,15 +201,11 @@ def plan_params(
         raise ValueError(f"accuracy must be in (0, 1), got {eps}")
 
     if mode == "all-p":
-        mc = 200.0 if m_const is None else m_const
-        tc = 50.0 if t_const is None else t_const
-        m = math.ceil(mc * s / eps)
-        T = math.ceil(tc * math.log(n * s) / eps)
+        m = math.ceil(200.0 * s / eps)
+        T = math.ceil(50.0 * math.log(n * s) / eps)
     elif mode == "linf-exact":
-        mc = 20.0 if m_const is None else m_const
-        tc = 3.0 if t_const is None else t_const
-        m = math.ceil(mc * s)
-        T = math.ceil(tc * math.log(n)) + 1
+        m = math.ceil(20.0 * s)
+        T = math.ceil(3.0 * math.log(n)) + 1
     elif mode == "sum-linf":
         m, T = 1, 1
     else:  # discrete
@@ -207,14 +213,11 @@ def plan_params(
             raise ValueError("discrete mode requires an integer delta >= 1")
         if p is None or p < 1:
             raise ValueError("discrete mode requires p >= 1")
-        base = float(2 * delta) if discrete_base is None else float(discrete_base)
-        growth = base ** p
-        mc = 100.0 if m_const is None else m_const
-        tc = 50.0 if t_const is None else t_const
-        m = math.ceil(mc * s * s * growth / eps)
-        T = math.ceil(tc * math.log(n) * growth / eps)
+        growth = float(2 * delta) ** p
+        m = math.ceil(100.0 * s * s * growth / eps)
+        T = math.ceil(50.0 * math.log(n) * growth / eps)
     return EmbedParams(mode=mode, s=s, n=n, eps=eps, delta=delta,
-                       p=None if p is None else float(p), m=max(1, m), T=max(1, T))
+                       p=None if p is None else float(p), m=m, T=T)
 
 
 @dataclass(frozen=True)
@@ -232,10 +235,6 @@ class StackedEmbedding:
     def T(self) -> int:
         return self.params.T
 
-    @property
-    def output_dim(self) -> int:
-        return self.params.m * self.params.T
-
     def map_for(self, copy_index: int) -> MaxHashMap:
         if not 0 <= copy_index < self.params.T:
             raise IndexError(f"copy index {copy_index} outside 0..{self.params.T - 1}")
@@ -246,6 +245,7 @@ def stack_embed(stack: StackedEmbedding, x: SparseVector) -> np.ndarray:
     """Dense concatenation of the T copy outputs, copy 0 first: one max pool
     over the keys copy * m + bucket."""
     m, T = stack.m, stack.T
+    require_cells(m * T, "stacked embedding")
     grid = bucket_grid(stack.seed, T, np.asarray(x.indices, dtype=np.uint64), m)
     keys = np.arange(T, dtype=np.int64)[:, None] * m + grid
     return max_pool(keys.ravel(), np.tile(np.asarray(x.values, dtype=np.float64), T), m * T)

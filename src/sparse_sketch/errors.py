@@ -40,7 +40,7 @@ class PreconditionColumns(PreconditionError):
 
 
 class PatternBudgetError(PreconditionError):
-    """Requested sign-pattern enumeration exceeds the configured 2**k budget."""
+    """Requested sign-pattern enumeration exceeds the 2**24 budget."""
 
 
 class EmbeddingMismatch(PreconditionError):

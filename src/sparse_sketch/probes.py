@@ -241,10 +241,9 @@ def birthday_matrix(spec: HashSpec, d: int) -> DenseLinearMap:
     return DenseLinearMap(mat)
 
 
-def gaussian_map(rows: int, cols: int, seed: int, normalize_columns: bool = True) -> DenseLinearMap:
-    """Random Gaussian matrix, optionally with unit-normalized columns."""
+def gaussian_map(rows: int, cols: int, seed: int) -> DenseLinearMap:
+    """Random Gaussian matrix with unit-normalized columns."""
     rng = np.random.default_rng(derive_seed(seed, 0x6A55))
     mat = rng.standard_normal((rows, cols))
-    if normalize_columns:
-        mat /= np.linalg.norm(mat, axis=0, keepdims=True)
+    mat /= np.linalg.norm(mat, axis=0, keepdims=True)
     return DenseLinearMap(mat)

@@ -25,6 +25,7 @@ from sparse_sketch.apps import (
 from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.errors import (
     NonNegativeRequired,
+    ParseError,
     PatternBudgetError,
     PreconditionError,
 )
@@ -112,14 +113,20 @@ def test_sign_range_is_l1_isometry_on_one_vector():
     # rows 0 and (1, -2): patterns ++, +-, -+, -- give max 3 = |1| + |-2|
     rows = np.array([[0.0, 0.0], [1.0, -2.0]])
     assert max_sign_range(rows) == 3.0
-    assert max_sign_range(rows, low_memory=True) == 3.0
 
 
-def test_sign_range_blocked_equals_gray_code_walk():
+def test_sign_range_spans_several_pattern_blocks():
+    # 4097 rows cap a pattern block at 2^22 // 4097 = 1023, so the 2^12
+    # patterns take five blocks; the planted diameter pair +-3 S is reached
+    # only by S (code 1500, second block) and -S (code 2595, third block)
     rng = np.random.default_rng(5)
-    rows = rng.standard_normal((6, 11))
-    assert max_sign_range(rows) == pytest.approx(
-        max_sign_range(rows, low_memory=True), rel=1e-12)
+    rows = rng.uniform(-1.0, 1.0, (4097, 12))
+    signs = 1.0 - 2.0 * ((1500 >> np.arange(12)) & 1)
+    rows[0], rows[1] = 3.0 * signs, -3.0 * signs
+    best = max(float(np.abs(rows[i + 1:] - rows[i]).sum(axis=1).max())
+               for i in range(len(rows) - 1))
+    assert best == 72.0
+    assert max_sign_range(rows) == pytest.approx(best, rel=1e-12)
 
 
 def test_sign_range_matches_pairwise_l1():
@@ -426,9 +433,14 @@ def test_estimator_serialization_round_trip():
     est = build_estimator(data, p=2, eps=0.6, seed=8)
     blob = json.dumps(est.to_json_dict())
     back = DistanceEstimator.from_json_dict(json.loads(blob))
-    assert back.n == len(data)
+    assert back.n == len(data) and back.dim == 300
     y = data.vectors[1]
     assert back.query(y) == pytest.approx(est.query(y), rel=1e-12)
+    with pytest.raises(PreconditionError):
+        back.query(sv({0: 1.0}, d=10**6))
+    without_dim = {k: v for k, v in json.loads(blob).items() if k != "dim"}
+    with pytest.raises(ParseError):
+        DistanceEstimator.from_json_dict(without_dim)
 
 
 def test_estimator_rejects_bad_inputs():

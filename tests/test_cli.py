@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr
 from io import StringIO
@@ -382,13 +384,63 @@ def _params_file(tmp_path, **changes):
     return str(path)
 
 
-@pytest.mark.parametrize("changes", [{"T": ...}, {"m": None}, {"s": "x"}, {"seed": [1]}])
+@pytest.mark.parametrize("changes", [{"T": ...}, {"m": None}, {"s": "x"}, {"seed": [1]},
+                                     {"mode": "bogus"}, {"m": 3.7}])
 def test_bad_params_json_is_an_input_error(tmp_path, capsys, changes):
     data, _ = write_data(tmp_path)
+    params = _params_file(tmp_path, **changes)
+    before = Path(params).read_bytes()
     rc, err = _run(["embed", "--input", data, "--output", str(tmp_path / "o.csv"),
-                    "--params", _params_file(tmp_path, **changes)], capsys)
+                    "--params", params], capsys)
     assert rc == 2 and "params JSON" in err
     assert "Traceback" not in err
+    assert Path(params).read_bytes() == before
+
+
+def test_embed_leaves_the_params_input_unchanged(tmp_path):
+    data, _ = write_data(tmp_path)
+    params = _params_file(tmp_path)
+    before = Path(params).read_bytes()
+    out = str(tmp_path / "o.csv")
+    assert main(["embed", "--input", data, "--output", out, "--params", params]) == 0
+    assert Path(params).read_bytes() == before
+    assert io.read_json(io.default_params_path(out)) == json.loads(before)
+
+
+def _signed_data(tmp_path):
+    path = str(tmp_path / "signed.tsv")
+    io.write_dataset_text(path, Dataset.from_items(
+        [("a", SparseVector.from_pairs({0: -1.0, 3: 1.0}, 10)),
+         ("b", SparseVector.from_pairs({3: -1.0}, 10))]))
+    return path
+
+
+@pytest.mark.parametrize("mode, flags, want", [
+    ("discrete", [], 0),  # the file's discrete mode admits signed data
+    ("all-p", ["--mode", "discrete"], 3),  # and --mode does not override it
+])
+def test_embed_checks_signs_under_the_params_file_mode(tmp_path, capsys, mode, flags, want):
+    data = _signed_data(tmp_path)
+    params = _params_file(tmp_path, mode=mode, delta=1, p=1.0)
+    rc, err = _run(["embed", "--input", data, "--output", str(tmp_path / "o.csv"),
+                    "--params", params, *flags], capsys)
+    assert rc == want and "Traceback" not in err
+    assert want == 0 or f"{mode!r} requires a non-negative dataset" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--m", "100000000000", "--T", "3"],
+    ["distort", "--against-zero", "--m", "100000000000", "--T", "3"],
+    ["apps", "dist-est", "--eps", "0.0001", "--queries", "DATA"],
+    ["apps", "diameter", "--s", "10000000000"],
+], ids=["embed", "distort-against-zero", "dist-est", "diameter"])
+def test_over_budget_widths_are_precondition_errors(tmp_path, capsys, argv):
+    data, _ = write_data(tmp_path)
+    out = tmp_path / "o.csv"
+    argv = [data if a == "DATA" else a for a in argv]
+    rc, err = _run(argv + ["--input", data, "--output", str(out)], capsys)
+    assert rc == 3 and "budget" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_params_json_with_zero_copies_is_a_precondition_error(tmp_path, capsys):
@@ -437,3 +489,12 @@ def test_distort_exit_codes_on_any_input(suffix, data, p):
                        "--m", "5", "--T", "3", "--p", p])
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+def test_cli_digest_script_prints_one_digest_per_command():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "cli_digest.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 18
+    assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

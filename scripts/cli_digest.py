@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""sha256 digests of 18 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 21 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
-mode) and prints one `<sha256>  <label>` line per command. The path-valued
-keys of each `# config:` line are dropped before hashing, so the digests
-do not depend on where the files live, and two checkouts compare with one
-diff:
+mode) and prints one `<sha256>  <label>` line per command. A wider
+40-vector dataset adds commands whose output moves when an exact-distance
+kernel's last bits do. The path-valued keys of each `# config:` line are
+dropped before hashing, so the digests do not depend on where the files
+live, and two checkouts compare with one diff:
 
     python scripts/cli_digest.py > after.txt
     (cd ../other-checkout && python scripts/cli_digest.py) > before.txt
@@ -29,8 +30,9 @@ from sparse_sketch.datagen import random_discrete_dataset, random_nonneg_dataset
 
 PATH_KEYS = ("input", "output", "params", "queries")
 CLUSTERS = ["--clusters", "0,1,0,1,2,2,0,1"]
+WIDE_CLUSTERS = ["--clusters", ",".join(str(i % 4) for i in range(40))]
 
-# label -> argv; DATA, QUERIES and SIGNED name the generated datasets
+# label -> argv; DATA, QUERIES, SIGNED and WIDE name the generated datasets
 COMMANDS = {
     "embed all-p": ["embed", "--input", "DATA", "--eps", "0.9", "--seed", "7"],
     "distort p 1": ["distort", "--input", "DATA", "--p", "1"],
@@ -61,6 +63,10 @@ COMMANDS = {
                              "--m", "40", "--T", "3"],
     "signed embed discrete": ["embed", "--input", "SIGNED", "--mode", "discrete",
                               "--delta", "1", "--p", "1", "--eps", "0.9"],
+    "wide distort p 2": ["distort", "--input", "WIDE", "--p", "2"],
+    "wide distort p 3": ["distort", "--input", "WIDE", "--p", "3"],
+    "wide cluster-cost means p 4": ["apps", "cluster-cost", "--input", "WIDE", "--p", "4",
+                                    "--objective", "means", *WIDE_CLUSTERS],
 }
 
 
@@ -83,6 +89,7 @@ def run(tmp: str) -> list[str]:
         "DATA": random_nonneg_dataset(8, 3, 500, seed=1),
         "QUERIES": random_nonneg_dataset(3, 3, 500, seed=2, prefix="q"),
         "SIGNED": random_discrete_dataset(6, 2, 500, delta=1, seed=3),
+        "WIDE": random_nonneg_dataset(40, 10, 500, seed=4),
     }
     paths = {}
     for name, dataset in files.items():

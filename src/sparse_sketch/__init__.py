@@ -36,7 +36,6 @@ from .vectors import (
     diff_vectors,
     lp_dist,
     lp_norm,
-    scale_vector,
     sum_vectors,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "ParseError", "PatternBudgetError", "PreconditionColumns", "PreconditionError",
     "PreconditionShape", "SketchError",
     "HashSpec", "hash_bucket", "mix64",
-    "INF", "Dataset", "SparseVector", "diff_vectors", "lp_dist", "lp_norm", "scale_vector",
-    "sum_vectors",
+    "INF", "Dataset", "SparseVector", "diff_vectors", "lp_dist", "lp_norm", "sum_vectors",
 ]

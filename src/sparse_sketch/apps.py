@@ -14,13 +14,12 @@ import numpy as np
 from .embeddings import MaxHashMap, landed_buckets, max_embed, require_cells
 from .errors import ParseError, PatternBudgetError, PreconditionError
 from .hashing import HashSpec
-from .pairwise import pairwise_power_dists, stacked_power_sums
+from .pairwise import lp_dists, pairwise_power_dists, stacked_power_sums
 from .vectors import (
     INF,
     Dataset,
     SparseVector,
     _check_p,
-    lp_dist,
     require_nonneg,
 )
 
@@ -35,16 +34,11 @@ _PATTERN_BUDGET = 24
 
 
 def diameter_exact(dataset: Dataset, p) -> float:
-    """Exact O(n^2) pairwise scan; the oracle for both sketched variants."""
-    p = _check_p(p)
+    """Exact diameter: the largest entry of the ``lp_dists`` matrix; the
+    oracle for both sketched variants."""
     if len(dataset) < 2:
         raise PreconditionError("diameter needs at least two vectors")
-    best = 0.0
-    vecs = dataset.vectors
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            best = max(best, lp_dist(vecs[i], vecs[j], p))
-    return best
+    return float(lp_dists(dataset.vectors, dataset.vectors, p).max())
 
 
 def diameter_linf_stream(vectors: Iterable[SparseVector], s: int, seed: int) -> float:
@@ -228,7 +222,7 @@ class Clustering:
         return out
 
 
-def _cluster_cost_around(members: Sequence[int], center_dists: np.ndarray, objective: str) -> float:
+def _cluster_cost_around(center_dists: np.ndarray, objective: str) -> float:
     if objective == "median":
         return float(center_dists.sum())
     if objective == "means":
@@ -243,7 +237,7 @@ def clustering_cost_from_pair_dists(dists: np.ndarray, clustering: Clustering) -
         sub = dists[np.ix_(members, members)]
         best = math.inf
         for row in range(len(members)):
-            best = min(best, _cluster_cost_around(members, sub[row], clustering.objective))
+            best = min(best, _cluster_cost_around(sub[row], clustering.objective))
         per_cluster.append(best)
     if clustering.objective == "center":
         return max(per_cluster)
@@ -292,20 +286,14 @@ def clustering_cost(dataset: Dataset, clustering: Clustering, centers: str = "ba
     if centers not in ("basic", "continuous"):
         raise ValueError("centers must be 'basic' or 'continuous'")
     vecs = dataset.vectors
-    p = _check_p(clustering.p)
+    if centers == "basic":
+        return clustering_cost_from_pair_dists(lp_dists(vecs, vecs, clustering.p), clustering)
     per_cluster = []
     for members in clustering.clusters():
         group = [vecs[i] for i in members]
-        if centers == "basic":
-            best = math.inf
-            for u in group:
-                dists = np.asarray([lp_dist(x, u, p) for x in group])
-                best = min(best, _cluster_cost_around(members, dists, clustering.objective))
-            per_cluster.append(best)
-        else:
-            u = continuous_center(group, clustering.objective, p)
-            dists = np.asarray([lp_dist(x, u, p) for x in group])
-            per_cluster.append(_cluster_cost_around(members, dists, clustering.objective))
+        u = continuous_center(group, clustering.objective, clustering.p)
+        per_cluster.append(_cluster_cost_around(lp_dists(group, [u], clustering.p)[:, 0],
+                                                clustering.objective))
     if clustering.objective == "center":
         return max(per_cluster)
     return float(sum(per_cluster))
@@ -435,4 +423,4 @@ def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> Distance
 def direct_distance_sum(dataset: Dataset, y: SparseVector, p) -> float:
     """Brute-force sum_x ||x - y||_p^p; the estimator's oracle."""
     p = _check_p(p)
-    return float(sum(lp_dist(x, y, p) ** p for x in dataset.vectors))
+    return float(sum(d ** p for d in lp_dists(dataset.vectors, [y], p)[:, 0].tolist()))

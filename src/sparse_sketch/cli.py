@@ -48,7 +48,7 @@ from .errors import (
     SketchError,
 )
 from .hashing import HashSpec, derive_seed
-from .pairwise import stacked_power_sums
+from .pairwise import lp_dists, stacked_power_sums
 from .probes import (
     DenseLinearMap,
     UnifSpec,
@@ -56,7 +56,7 @@ from .probes import (
     preservation_trials,
     unif_draws,
 )
-from .vectors import INF, _dense_norm, lp_dist, lp_norm
+from .vectors import INF, _dense_norm, lp_norm
 
 _SLACK = 1e-9
 
@@ -133,10 +133,7 @@ def _distort_pairs(args, dataset, params, seed):
     ratios = []
     vecs, ids = dataset.vectors, dataset.ids
     n = len(vecs)
-    true_d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            true_d[i, j] = true_d[j, i] = lp_dist(vecs[i], vecs[j], p)
+    true_d = lp_dists(vecs, vecs, p)
     emb_d = _embedded_dists(vecs, params, seed, p,
                             base=None if p == INF else {float(p): true_d ** p})
     for i in range(n):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EmbeddingMismatch, ParseError, PreconditionError
 from .hashing import HashSpec, bucket_array, bucket_grid
-from .pairwise import _max_pool_keys, pair_copy_tables
+from .pairwise import _max_pool_keys, pair_copy_tables, require_hashes
 from .vectors import INF, SparseVector, _check_p, require_nonneg
 
 MODES = ("all-p", "linf-exact", "sum-linf", "discrete")
@@ -246,6 +246,7 @@ def stack_embed(stack: StackedEmbedding, x: SparseVector) -> np.ndarray:
     over the keys copy * m + bucket."""
     m, T = stack.m, stack.T
     require_cells(m * T, "stacked embedding")
+    require_hashes(T, m, x.sparsity)
     grid = bucket_grid(stack.seed, T, np.asarray(x.indices, dtype=np.uint64), m)
     keys = np.arange(T, dtype=np.int64)[:, None] * m + grid
     return max_pool(keys.ravel(), np.tile(np.asarray(x.values, dtype=np.float64), T), m * T)

@@ -1,4 +1,14 @@
-"""Bulk pairwise distance evaluation under stacked max-pool embeddings.
+"""Bulk pairwise distance evaluation: exact distances and distances under
+stacked max-pool embeddings.
+
+``lp_dists`` is the one exact-distance kernel: ``vectors.lp_dist`` over
+all pairs, equal bit for bit, behind every exact distance the package
+reports. Each pair's supports become one sorted row of ranks into the
+distinct indices (padded with a higher rank and value 0.0; a shared
+coordinate merged into one slot as |x - y|). The row takes ``_reduce_abs``'s
+scaled sum with ``np.float_power`` (numpy's ``**`` differs from Python's in
+the last bit), added slot by slot in index order. ``lp_dist`` stays as the
+scalar definition that the tests and the benchmark check against.
 
 ``_max_pool_keys`` is the package's one max-pool kernel (sorted distinct
 keys, the max of the values on each). ``pair_copy_tables`` and
@@ -40,11 +50,26 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import DimensionMismatch, PreconditionError
 from .hashing import bucket_grid
-from .vectors import SparseVector, lp_dist
+from .vectors import INF, SparseVector, _check_p
 
 _POS_LIMIT = 1 << 62
+#: Hash evaluations (copies x distinct coordinates) one call may make.
+HASH_BUDGET = 1 << 24
 _BLOCK = 64  # copies per block; bounds every array of the correction phase
+_CHUNK = 1 << 16  # cells per chunk of lp_dists
+
+
+def require_hashes(copies: int, m: int, coords: int) -> None:
+    """ValueError unless copy * m + bucket keys fit in int64, and
+    PreconditionError unless copies x coords (at least 1 per copy, the size
+    of the per-copy outputs) fits in HASH_BUDGET; checked before hashing."""
+    if copies * m >= _POS_LIMIT:
+        raise ValueError("copies * m too large to key")
+    if copies * max(1, coords) > HASH_BUDGET:
+        raise PreconditionError(f"{copies} copies of {coords} coordinates exceed the hash "
+                                f"budget of {HASH_BUDGET}")
 
 
 def pair_copy_tables(
@@ -61,19 +86,17 @@ def pair_copy_tables(
     Returns {p: array of length `copies` holding ||f_c(x) - f_c(y)||_p^p}
     plus key "inf" (per-copy max-norm distances) when requested.
     """
+    union = sorted(set(x.indices) | set(y.indices))
+    require_hashes(copies, m, len(union))
     out: dict = {p: np.zeros(copies) for p in ps}
     if with_linf:
         out["inf"] = np.zeros(copies)
-    union = sorted(set(x.indices) | set(y.indices))
     if not union or copies == 0:
         return out
     xd, yd = x.to_dict(), y.to_dict()
     # an absent side goes in as -inf, so the maxima run over landed support
     # only, and comes out as 0
     vals = np.array([[xd.get(i, -np.inf), yd.get(i, -np.inf)] for i in union])
-    if copies * m >= _POS_LIMIT:
-        raise ValueError("copies * m too large to key")
-
     grid = bucket_grid(seed, copies, np.asarray(union, dtype=np.uint64), m)
     keys = (np.arange(copies, dtype=np.int64)[:, None] * m + grid).ravel()
     ks, top = _max_pool_keys(keys, np.tile(vals, (copies, 1)))
@@ -89,16 +112,52 @@ def pair_copy_tables(
     return out
 
 
+def lp_dists(xs: Sequence[SparseVector], ys: Sequence[SparseVector], p) -> np.ndarray:
+    """(len(xs), len(ys)) matrix of ``lp_dist(x, y, p)``, equal bit for bit."""
+    p = _check_p(p)
+    if len({v.dim for v in (*xs, *ys)}) > 1:
+        raise DimensionMismatch("ambient dimensions differ")
+    idx = np.array([i for v in (*xs, *ys) for i in v.indices], dtype=np.uint64)
+    rank = np.unique(idx, return_inverse=True)[1]
+    nx = sum(v.sparsity for v in xs)
+    xr, xv = _padded(xs, rank[:nx], len(idx), 1.0)
+    yr, yv = _padded(ys, rank[nx:], len(idx), -1.0)  # x - y is then a sum
+    out = np.zeros(len(xs) * len(ys))
+    step = _CHUNK // (xr.shape[1] + yr.shape[1]) + 1
+    for lo in range(0, len(out), step):
+        i, j = np.divmod(np.arange(lo, min(lo + step, len(out))), len(ys))
+        key = np.hstack([xr[i], yr[j]])
+        order = np.argsort(key, axis=1, kind="stable")
+        key = np.take_along_axis(key, order, 1)
+        val = np.take_along_axis(np.hstack([xv[i], yv[j]]), order, 1)
+        d = np.abs(val)
+        shared = key[:, 1:] == key[:, :-1]  # x's entry, then y's
+        d[:, :-1][shared] = np.abs(val[:, :-1] + val[:, 1:])[shared]
+        d[:, 1:][shared] = 0.0
+        top = d.max(axis=1)
+        if p != INF:
+            with np.errstate(invalid="ignore"):  # 0/0 on rows that np.where zeroes
+                acc = np.add.accumulate(np.float_power(d / top[:, None], p), axis=1)[:, -1]
+            top = np.where(top > 0.0, top * np.float_power(acc, 1.0 / p), 0.0)
+        out[lo:lo + len(top)] = top
+    return out.reshape(len(xs), len(ys))
+
+
+def _padded(vectors: Sequence[SparseVector], rank: np.ndarray, pad: int, sign: float):
+    """(rows, max(1, max sparsity)) arrays of the vectors' index ranks, padded
+    with `pad` (above every rank), and of their signed values, padded with 0.0."""
+    lens = np.array([v.sparsity for v in vectors], dtype=np.int64)
+    rows = np.full((len(vectors), int(lens.max(initial=1))), pad, dtype=np.int64)
+    real = np.arange(rows.shape[1]) < lens[:, None]
+    rows[real] = rank
+    val = np.zeros(rows.shape)
+    val[real] = [x * sign for v in vectors for x in v.values]
+    return rows, val
+
+
 def pairwise_power_dists(vectors: Sequence[SparseVector], ps: Sequence[float]) -> dict:
     """Exact {p: (n, n) matrix of ||x_i - x_j||_p^p} over the raw vectors."""
-    n = len(vectors)
-    out = {p: np.zeros((n, n)) for p in ps}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for p in ps:
-                v = lp_dist(vectors[i], vectors[j], p) ** float(p)
-                out[p][i, j] = out[p][j, i] = v
-    return out
+    return {p: np.float_power(lp_dists(vectors, vectors, p), float(p)) for p in ps}
 
 
 def _ownership(vectors: Sequence[SparseVector]):
@@ -190,12 +249,11 @@ def stacked_power_sums(
     """
     n = len(vectors)
     ps = [float(p) for p in ps]
-    if copies * m >= _POS_LIMIT:
-        raise ValueError("copies * m too large to key")
+    distinct, owner_vec, owner_val, ostarts, ocounts = _ownership(vectors)
+    require_hashes(copies, m, len(distinct))
     if base is None:
         base = pairwise_power_dists(vectors, ps)
     totals = {p: base[p] * float(copies) for p in ps}
-    distinct, owner_vec, owner_val, ostarts, ocounts = _ownership(vectors)
     if len(distinct) == 0:
         return totals
 

@@ -98,12 +98,6 @@ def unif_draws(spec: UnifSpec, trials: int, shard: int = 0) -> tuple[np.ndarray,
     return supports, values
 
 
-def sample_unif(spec: UnifSpec, draw: int = 0) -> SparseVector:
-    """Materialize draw number `draw` of the stream as a SparseVector."""
-    supports, values = unif_draws(spec, draw + 1)
-    return SparseVector.from_pairs(zip(supports[draw].tolist(), values[draw].tolist()), spec.d)
-
-
 def preservation_trials(
     lin_map: DenseLinearMap,
     spec: UnifSpec,

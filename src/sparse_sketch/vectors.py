@@ -182,12 +182,6 @@ def diff_vectors(x: SparseVector, y: SparseVector) -> SparseVector:
     return _merge(x, y, -1.0)
 
 
-def scale_vector(x: SparseVector, c: float) -> SparseVector:
-    if c == 0.0:
-        return SparseVector.zero(x.dim)
-    return SparseVector(x.indices, tuple(c * v for v in x.values), x.dim)
-
-
 def require_nonneg(*vectors: SparseVector, what: str = "operation") -> None:
     for v in vectors:
         if not v.nonneg:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparse_sketch
 from sparse_sketch import io
 from sparse_sketch.cli import _parse_p, main
 from sparse_sketch.datagen import random_nonneg_dataset
@@ -443,6 +445,24 @@ def test_over_budget_widths_are_precondition_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["distort", "--p", "2", "--m", "1000", "--T", "100000000000"],
+    ["apps", "cluster-cost", "--p", "1", "--m", "10", "--T", "100000000000",
+     "--clusters", "0,1,0,1"],
+    ["distort", "--p", "inf", "--m", "10", "--T", "100000000000"],
+], ids=["distort-p2", "cluster-cost", "distort-pinf"])
+def test_over_budget_copy_counts_are_precondition_errors(tmp_path, argv):
+    # each used to hash 10^11 copies (or allocate them, for p = inf)
+    data, _ = write_data(tmp_path, n=4)
+    out = tmp_path / "o.csv"
+    src = str(Path(sparse_sketch.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "sparse_sketch.cli", *argv, "--input", data,
+                          "--output", str(out)], capture_output=True, text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 3 and "hash budget" in run.stderr
+    assert "Traceback" not in run.stderr and not out.exists()
+
+
 def test_params_json_with_zero_copies_is_a_precondition_error(tmp_path, capsys):
     data, _ = write_data(tmp_path)
     out = tmp_path / "o.csv"
@@ -496,5 +516,5 @@ def test_cli_digest_script_prints_one_digest_per_command():
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 18
+    assert len(lines) == 21
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

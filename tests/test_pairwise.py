@@ -3,15 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sparse_sketch import pairwise
+from sparse_sketch.embeddings import stack_embed
+from sparse_sketch.errors import DimensionMismatch, PreconditionError
 from sparse_sketch.pairwise import (
     _BLOCK,
+    HASH_BUDGET,
+    lp_dists,
     pair_copy_tables,
     pairwise_power_dists,
     stacked_power_sums,
 )
-from sparse_sketch.vectors import SparseVector, lp_dist
+from sparse_sketch.vectors import INF, SparseVector, lp_dist
 
-from helpers import naive_stack_linf, naive_stack_pair_powers, random_sparse
+from helpers import naive_stack_linf, naive_stack_pair_powers, random_sparse, stack_of
 
 
 def build_case(rng, signed):
@@ -59,15 +64,59 @@ def test_pair_copy_tables_match_dense(signed):
             naive_stack_linf(x, y, m, T, seed), rel=1e-9, abs=1e-12)
 
 
+def lp_dist_matrix(xs, ys, p):
+    return np.array([[lp_dist(x, y, p) for y in ys] for x in xs]).reshape(len(xs), len(ys))
+
+
+def mixed_vectors(rng, n):
+    """Signed and unsigned vectors whose supports share, miss or duplicate
+    each other, over small indices and indices near 2^63 and 2^64 - 1."""
+    pool = [*range(6), *range(2**63 - 2, 2**63 + 3), *range(2**64 - 4, 2**64)]
+    vecs = [SparseVector.zero(2**64)]
+    for k in range(n):
+        sup = rng.choice(len(pool), size=int(rng.integers(1, 9)), replace=False)
+        vals = rng.normal(size=len(sup)) if k % 2 else 1.0 - rng.random(len(sup))
+        vecs.append(SparseVector.from_pairs(zip((pool[i] for i in sup), vals.tolist()), 2**64))
+    return vecs + vecs[1:3]  # duplicates
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 4, 7, INF])
+def test_lp_dists_equal_lp_dist_bit_for_bit(p):
+    rng = np.random.default_rng(17)
+    vecs = mixed_vectors(rng, 24)
+    assert (lp_dists(vecs, vecs, p) == lp_dist_matrix(vecs, vecs, p)).all()
+    xs, ys = vecs[:5], vecs[5:]
+    assert (lp_dists(xs, ys, p) == lp_dist_matrix(xs, ys, p)).all()
+    assert lp_dists(xs, [], p).shape == (5, 0) and lp_dists([], ys, p).shape == (0, len(ys))
+    assert lp_dists(vecs[:1], vecs[:1], p)[0, 0] == 0.0  # two empty supports
+    signed = [random_sparse(rng, 12, int(rng.integers(0, 6)), signed=True) for _ in range(20)]
+    assert (lp_dists(signed, signed, p) == lp_dist_matrix(signed, signed, p)).all()
+
+
+def test_lp_dists_spanning_several_chunks(monkeypatch):
+    rng = np.random.default_rng(18)
+    vecs = mixed_vectors(rng, 30)
+    monkeypatch.setattr(pairwise, "_CHUNK", 100)  # a few pairs per chunk, the last one partial
+    for p in (2, 4, INF):
+        assert (lp_dists(vecs, vecs, p) == lp_dist_matrix(vecs, vecs, p)).all()
+
+
+def test_lp_dists_rejects_mixed_dimensions():
+    x, y = SparseVector.from_pairs({0: 1.0}, 10), SparseVector.from_pairs({0: 1.0}, 11)
+    with pytest.raises(DimensionMismatch):
+        lp_dists([x], [y], 2)
+    with pytest.raises(DimensionMismatch):
+        lp_dists([x, y], [x], 2)
+
+
 def test_pairwise_power_dists_match_lp_dist():
     rng = np.random.default_rng(2)
     vecs = [random_sparse(rng, 30, 4, signed=True) for _ in range(5)]
-    out = pairwise_power_dists(vecs, [1.0, 2.0])
-    for p in (1.0, 2.0):
+    out = pairwise_power_dists(vecs, [1.0, 2.0, 4.0])
+    for p in (1.0, 2.0, 4.0):
         for i in range(5):
             for j in range(5):
-                assert out[p][i, j] == pytest.approx(
-                    lp_dist(vecs[i], vecs[j], p) ** p, rel=1e-12, abs=1e-300)
+                assert out[p][i, j] == lp_dist(vecs[i], vecs[j], p) ** p
 
 
 def test_engine_is_deterministic():
@@ -126,6 +175,17 @@ def test_engine_rejects_unkeyable_copy_counts():
     x = SparseVector.from_pairs({0: 1.0}, 10)
     with pytest.raises(ValueError):
         stacked_power_sums([x, x], 1 << 40, 1 << 30, 0, [2.0])
+
+
+def test_copy_loops_check_the_hash_budget():
+    x = SparseVector.from_pairs({0: 1.0, 5: 2.0}, 10)
+    copies = HASH_BUDGET // 2 + 1  # one hash evaluation over the budget
+    with pytest.raises(PreconditionError, match="hash budget"):
+        stacked_power_sums([x, x], 3, copies, 0, [2.0])
+    with pytest.raises(PreconditionError, match="hash budget"):
+        pair_copy_tables(x, x, 3, copies, 0, with_linf=True)
+    with pytest.raises(PreconditionError, match="hash budget"):
+        stack_embed(stack_of(1, copies, 0), x)
 
 
 def test_engine_memory_is_bounded_by_the_hashing_block():

@@ -19,7 +19,6 @@ from sparse_sketch.probes import (
     gram_overlap_Z,
     preservation_rate,
     preservation_trials,
-    sample_unif,
     unif_draws,
 )
 from sparse_sketch.vectors import SparseVector
@@ -30,8 +29,8 @@ from sparse_sketch.vectors import SparseVector
 
 def test_full_support_when_t_equals_d():
     spec = UnifSpec(t=8, r=1.0, d=8, seed=0)
-    u = sample_unif(spec)
-    assert u.sparsity == 8
+    supports, values = unif_draws(spec, 3)
+    assert (supports == np.arange(8)).all() and values.shape == (3, 8)
 
 
 def test_draws_are_reproducible():

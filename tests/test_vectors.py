@@ -13,7 +13,6 @@ from sparse_sketch.vectors import (
     diff_vectors,
     lp_dist,
     lp_norm,
-    scale_vector,
     sum_vectors,
 )
 
@@ -162,12 +161,6 @@ def test_large_p_approximates_max_norm():
             zip(np.sort(rng.choice(d, 40, replace=False)).tolist(), vals.tolist()), d)
         ratio = lp_norm(x, p) / lp_norm(x, INF)
         assert 1.0 - eps < ratio < 1.0 + eps
-
-
-def test_scale_vector():
-    x = sv({0: 1.0, 3: -2.0})
-    assert scale_vector(x, 2.0).to_dict() == {0: 2.0, 3: -4.0}
-    assert scale_vector(x, 0.0).sparsity == 0
 
 
 # --- dataset

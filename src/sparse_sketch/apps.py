@@ -11,10 +11,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .embeddings import MaxHashMap, landed_buckets, max_embed, require_cells
+from .embeddings import MaxHashMap, _scatter, landed_buckets, max_embed, require_cells
 from .errors import ParseError, PatternBudgetError, PreconditionError
 from .hashing import HashSpec
-from .pairwise import lp_dists, pairwise_power_dists, stacked_power_sums
+from .pairwise import lp_dists, pairwise_power_dists, stacked_image, stacked_power_sums
 from .vectors import (
     INF,
     Dataset,
@@ -169,12 +169,22 @@ def maxcut_brute(dataset: Dataset, p) -> tuple[float, int]:
     return maxcut_from_pair_powers(pairwise_power_dists(dataset.vectors, [p])[p])
 
 
+def sketch_buckets(s: int, eps: float) -> int:
+    """m = ceil(200 s / eps^2), the bucket count of the max-cut sketch and
+    the distance estimator, for eps in (0, 1)."""
+    if not 0.0 < eps < 1.0:
+        raise PreconditionError(f"eps must be in (0, 1), got {eps}")
+    try:
+        return math.ceil(200.0 * s / (eps * eps))
+    except (OverflowError, ZeroDivisionError):  # m is infinite, or eps^2 is 0
+        raise PreconditionError(f"eps = {eps} is too small to size a sketch") from None
+
+
 def sketched_pair_powers(dataset: Dataset, p: float, eps: float, seed: int) -> np.ndarray:
     """Pairwise p-th-power distances after one max-pool map with
-    m = ceil(200 s / eps^2) buckets."""
+    ``sketch_buckets`` buckets."""
     require_nonneg(*dataset.vectors, what="max-pool sketch")
-    s = max(1, dataset.max_sparsity)
-    m = math.ceil(200.0 * s / (eps * eps))
+    m = sketch_buckets(max(1, dataset.max_sparsity), eps)
     return stacked_power_sums(dataset.vectors, m, 1, seed, [p])[float(p)]
 
 
@@ -183,8 +193,6 @@ def maxcut_sketched(dataset: Dataset, p, eps: float, seed: int) -> float:
     p = _check_p(p)
     if p == INF:
         raise PreconditionError("max-cut uses finite p")
-    if not 0.0 < eps < 1.0:
-        raise PreconditionError(f"eps must be in (0, 1), got {eps}")
     if len(dataset) > _MAXCUT_LIMIT:
         raise PreconditionError(f"oracle-verifiable mode capped at n = {_MAXCUT_LIMIT}")
     value, _ = maxcut_from_pair_powers(sketched_pair_powers(dataset, p, eps, seed))
@@ -345,17 +353,18 @@ class DistanceEstimator:
         require_nonneg(y, what="distance estimation query")
         if y.dim != self.dim:
             raise PreconditionError(f"estimator built over dimension {self.dim}, got {y.dim}")
+        z = _scatter(*stacked_image(y, self.m, self.R, self.seed), self.R * self.m)
+        z = z.reshape(self.R, self.m)  # repetition r is copy r
         estimates = np.empty(self.R)
         binoms = [math.comb(self.p, k) for k in range(self.p + 1)]
         for rep in range(self.R):
-            z = max_embed(self.map_for(rep), y)
             total = 0.0
             zk = np.ones(self.m)  # z^0, with 0^0 = 1
             for k in range(self.p + 1):
                 sign = -1.0 if k % 2 else 1.0
                 total += sign * binoms[k] * float(zk @ self.power_sums[rep, :, self.p - k])
                 if k < self.p:
-                    zk = zk * z
+                    zk = zk * z[rep]
             estimates[rep] = total
         order = np.sort(estimates)
         return float(order[(self.R - 1) // 2])
@@ -393,34 +402,33 @@ class DistanceEstimator:
 def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> DistanceEstimator:
     """Preprocess a non-negative dataset into a DistanceEstimator with
     R = ceil(8 ln n) repetitions of m = ceil(200 s / eps^2) buckets."""
-    if p % 2 != 0 or p < 2:
-        raise PreconditionError(f"estimator needs even p >= 2, got {p}")
-    if not 0.0 < eps < 1.0:
-        raise PreconditionError(f"eps must be in (0, 1), got {eps}")
+    if p % 2 != 0 or not 2 <= p <= 1028:  # above 1028, comb(p, p / 2) overflows a float
+        raise PreconditionError(f"estimator needs an even p in [2, 1028], got {p}")
     require_nonneg(*dataset.vectors, what="distance estimator build")
     n = len(dataset)
     if n < 1:
         raise PreconditionError("estimator needs a non-empty dataset")
-    s = max(1, dataset.max_sparsity)
     reps = max(1, math.ceil(8.0 * math.log(max(2, n))))
-    m = math.ceil(200.0 * s / (eps * eps))
+    m = sketch_buckets(max(1, dataset.max_sparsity), eps)
     require_cells(reps * m * (p + 1), "estimator tables")
-    power_sums = np.zeros((reps, m, p + 1))
-    power_sums[:, :, 0] = float(n)  # 0^0 := 1 for every bucket and vector
-    for rep in range(reps):
-        mmap = MaxHashMap(HashSpec(seed, rep, m))
-        for vec in dataset.vectors:
-            b, v = landed_buckets(mmap, vec)
-            ve = v.copy()
-            for e in range(1, p + 1):
-                np.add.at(power_sums[rep, :, e], b, ve)
-                if e < p:
-                    ve = ve * v
+    # repetition r is copy r; vector order keeps each cell's summation order
+    power_sums = np.zeros((reps * m, p + 1))
+    power_sums[:, 0] = float(n)  # 0^0 := 1 for every bucket and vector
+    for vec in dataset.vectors:
+        keys, v = stacked_image(vec, m, reps, seed)
+        ve = v
+        for e in range(1, p + 1):
+            np.add.at(power_sums[:, e], keys, ve)
+            if e < p:
+                ve = ve * v
     return DistanceEstimator(p=p, eps=eps, R=reps, seed=seed, m=m,
-                             power_sums=power_sums, dim=dataset.dim)
+                             power_sums=power_sums.reshape(reps, m, p + 1), dim=dataset.dim)
 
 
 def direct_distance_sum(dataset: Dataset, y: SparseVector, p) -> float:
     """Brute-force sum_x ||x - y||_p^p; the estimator's oracle."""
     p = _check_p(p)
-    return float(sum(d ** p for d in lp_dists(dataset.vectors, [y], p)[:, 0].tolist()))
+    try:
+        return float(sum(d ** p for d in lp_dists(dataset.vectors, [y], p)[:, 0].tolist()))
+    except OverflowError:  # a p-th power beyond float range
+        return math.inf

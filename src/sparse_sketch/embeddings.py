@@ -8,8 +8,9 @@ Two pooling rules over the same bucket hash:
   between non-negative vectors, at any bucket count.
 
 Every max pool runs one kernel, ``pairwise._max_pool_keys``: it is
-``landed_buckets`` (the sparse image), ``max_pool`` scatters it into a dense
-row, and ``stack_embed`` is one ``max_pool`` over keys copy * m + bucket.
+``landed_buckets`` (the sparse image of one copy) and ``max_pool`` scatters
+it into a dense row. ``pairwise.stacked_image`` is the one stacking
+function; ``stack_embed`` scatters it into a dense row.
 
 A ``StackedEmbedding`` concatenates independent max-pool copies; the
 parameter planner turns (mode, sparsity, dataset size, accuracy) into a
@@ -21,13 +22,13 @@ margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import EmbeddingMismatch, ParseError, PreconditionError
-from .hashing import HashSpec, bucket_array, bucket_grid
-from .pairwise import _max_pool_keys, pair_copy_tables, require_hashes
+from .hashing import HashSpec, bucket_array
+from .pairwise import _max_pool_keys, pair_copy_tables, stacked_image
 from .vectors import INF, SparseVector, _check_p, require_nonneg
 
 MODES = ("all-p", "linf-exact", "sum-linf", "discrete")
@@ -51,6 +52,13 @@ def sum_pool(buckets, values, m: int) -> np.ndarray:
     return out
 
 
+def _scatter(keys: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+    """Dense length-`width` row of a sparse image: `values` at `keys`, 0 elsewhere."""
+    out = np.zeros(width, dtype=np.float64)
+    out[keys] = values
+    return out
+
+
 def max_pool(buckets, values, m: int) -> np.ndarray:
     """Dense length-m vector whose bucket b holds the max of landed support
     values, 0 when no support lands there.
@@ -58,11 +66,8 @@ def max_pool(buckets, values, m: int) -> np.ndarray:
     The max is over stored (non-zero) values only, so a bucket receiving a
     single negative value reports that negative value, not 0.
     """
-    out = np.zeros(m, dtype=np.float64)
-    b, v = _max_pool_keys(np.asarray(buckets, dtype=np.int64),
-                          np.asarray(values, dtype=np.float64))
-    out[b] = v
-    return out
+    return _scatter(*_max_pool_keys(np.asarray(buckets, dtype=np.int64),
+                                   np.asarray(values, dtype=np.float64)), m)
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,6 @@ class BirthdayMap:
 
 
 def birthday_embed(bmap: BirthdayMap, x: SparseVector) -> np.ndarray:
-    if x.sparsity == 0:
-        return np.zeros(bmap.spec.m, dtype=np.float64)
     buckets = bucket_array(bmap.spec, np.asarray(x.indices, dtype=np.uint64))
     return sum_pool(buckets, x.values, bmap.spec.m)
 
@@ -101,10 +104,7 @@ def landed_buckets(mmap: MaxHashMap, x: SparseVector) -> tuple[np.ndarray, np.nd
 
 
 def max_embed(mmap: MaxHashMap, x: SparseVector) -> np.ndarray:
-    out = np.zeros(mmap.spec.m, dtype=np.float64)
-    b, v = landed_buckets(mmap, x)
-    out[b] = v
-    return out
+    return _scatter(*landed_buckets(mmap, x), mmap.spec.m)
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,7 @@ class EmbedParams:
             raise ValueError("m and T must be >= 1")
 
     def to_json_dict(self, seed: int) -> dict:
-        return {
-            "mode": self.mode,
-            "s": self.s,
-            "n": self.n,
-            "eps": self.eps,
-            "delta": self.delta,
-            "p": self.p,
-            "m": self.m,
-            "T": self.T,
-            "seed": seed,
-        }
+        return {**asdict(self), "seed": seed}
 
     @staticmethod
     def from_json_dict(obj: dict) -> tuple["EmbedParams", int]:
@@ -200,22 +190,25 @@ def plan_params(mode: str, s: int, n: int, eps: float, delta: int | None = None,
     if not 0.0 < eps < 1.0:
         raise ValueError(f"accuracy must be in (0, 1), got {eps}")
 
-    if mode == "all-p":
-        m = math.ceil(200.0 * s / eps)
-        T = math.ceil(50.0 * math.log(n * s) / eps)
-    elif mode == "linf-exact":
-        m = math.ceil(20.0 * s)
-        T = math.ceil(3.0 * math.log(n)) + 1
-    elif mode == "sum-linf":
-        m, T = 1, 1
-    else:  # discrete
-        if delta is None or delta < 1:
-            raise ValueError("discrete mode requires an integer delta >= 1")
-        if p is None or p < 1:
-            raise ValueError("discrete mode requires p >= 1")
-        growth = float(2 * delta) ** p
-        m = math.ceil(100.0 * s * s * growth / eps)
-        T = math.ceil(50.0 * math.log(n) * growth / eps)
+    try:  # a size beyond float range raises OverflowError
+        if mode == "all-p":
+            m = math.ceil(200.0 * s / eps)
+            T = math.ceil(50.0 * math.log(n * s) / eps)
+        elif mode == "linf-exact":
+            m = math.ceil(20.0 * s)
+            T = math.ceil(3.0 * math.log(n)) + 1
+        elif mode == "sum-linf":
+            m, T = 1, 1
+        else:  # discrete
+            if delta is None or delta < 1:
+                raise ValueError("discrete mode requires an integer delta >= 1")
+            if p is None or p < 1:
+                raise ValueError("discrete mode requires p >= 1")
+            growth = float(2 * delta) ** p
+            m = math.ceil(100.0 * s * s * growth / eps)
+            T = math.ceil(50.0 * math.log(n) * growth / eps)
+    except OverflowError:
+        raise PreconditionError(f"{mode} sizes overflow at eps = {eps}, p = {p}") from None
     return EmbedParams(mode=mode, s=s, n=n, eps=eps, delta=delta,
                        p=None if p is None else float(p), m=m, T=T)
 
@@ -242,14 +235,10 @@ class StackedEmbedding:
 
 
 def stack_embed(stack: StackedEmbedding, x: SparseVector) -> np.ndarray:
-    """Dense concatenation of the T copy outputs, copy 0 first: one max pool
-    over the keys copy * m + bucket."""
-    m, T = stack.m, stack.T
-    require_cells(m * T, "stacked embedding")
-    require_hashes(T, m, x.sparsity)
-    grid = bucket_grid(stack.seed, T, np.asarray(x.indices, dtype=np.uint64), m)
-    keys = np.arange(T, dtype=np.int64)[:, None] * m + grid
-    return max_pool(keys.ravel(), np.tile(np.asarray(x.values, dtype=np.float64), T), m * T)
+    """Dense concatenation of the T copy outputs, copy 0 first: the
+    ``stacked_image`` of x scattered into one row."""
+    require_cells(stack.m * stack.T, "stacked embedding")
+    return _scatter(*stacked_image(x, stack.m, stack.T, stack.seed), stack.m * stack.T)
 
 
 def estimate_distance(stack: StackedEmbedding, x: SparseVector, y: SparseVector, p) -> float:

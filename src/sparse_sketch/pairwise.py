@@ -11,16 +11,18 @@ the last bit), added slot by slot in index order. ``lp_dist`` stays as the
 scalar definition that the tests and the benchmark check against.
 
 ``_max_pool_keys`` is the package's one max-pool kernel (sorted distinct
-keys, the max of the values on each). ``pair_copy_tables`` and
-``embeddings.landed_buckets``, ``max_pool`` and ``stack_embed`` pool with it.
+keys, the max of the values on each). ``stacked_image`` is the one map of a
+vector into stacked copies: one ``bucket_grid`` and one kernel call over the
+keys copy * m + bucket. ``embeddings.stack_embed`` scatters it into a dense
+row, and the distance estimator's R repetitions are its R copies.
+``embeddings.landed_buckets`` is the single-copy image.
 
 Two evaluation strategies, both exact (up to float roundoff) and
 cross-checked against the dense definition in the test suite:
 
-* ``pair_copy_tables``: one kernel call over the (copy, bucket) keys of a
-  single pair's union support, pooling the x and y columns together.
-  Memory O(T * union). Also gives the per-copy max-norm distances, which
-  nothing else computes.
+* ``pair_copy_tables``: merges the stacked images of one pair, key by key,
+  into |f_c(x) - f_c(y)| (an absent side counts as 0). Memory O(T * union).
+  Also gives the per-copy max-norm distances, which nothing else computes.
 * ``stacked_power_sums``: all pairs of a dataset at once, for finite p. A
   copy without collisions contributes exactly the true distance, so the
   T-fold sum is T * D plus corrections at the (copy, bucket) groups that
@@ -72,6 +74,16 @@ def require_hashes(copies: int, m: int, coords: int) -> None:
                                 f"budget of {HASH_BUDGET}")
 
 
+def stacked_image(x: SparseVector, m: int, copies: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse image of x under `copies` max-pool copies of m buckets: sorted
+    keys copy * m + bucket and the pooled maximum on each."""
+    require_hashes(copies, m, x.sparsity)
+    grid = bucket_grid(seed, copies, np.asarray(x.indices, dtype=np.uint64), m)
+    keys = np.arange(copies, dtype=np.int64)[:, None] * m + grid
+    return _max_pool_keys(keys.ravel(), np.tile(np.asarray(x.values, dtype=np.float64), copies))
+
+
 def pair_copy_tables(
     x: SparseVector,
     y: SparseVector,
@@ -86,29 +98,19 @@ def pair_copy_tables(
     Returns {p: array of length `copies` holding ||f_c(x) - f_c(y)||_p^p}
     plus key "inf" (per-copy max-norm distances) when requested.
     """
-    union = sorted(set(x.indices) | set(y.indices))
-    require_hashes(copies, m, len(union))
-    out: dict = {p: np.zeros(copies) for p in ps}
+    require_hashes(copies, m, len(set(x.indices) | set(y.indices)))
+    kx, vx = stacked_image(x, m, copies, seed)
+    ky, vy = stacked_image(y, m, copies, seed)
+    # 0.0 + x - y per key, x's entry first; an absent side counts as 0
+    keys, inv = np.unique(np.concatenate([kx, ky]), return_inverse=True)
+    d = np.abs(np.bincount(inv, weights=np.concatenate([vx, -vy]), minlength=len(keys)))
+    seg_copy = keys // m
+    out: dict = {p: np.zeros(copies) for p in ps}  # np.bincount of nothing is int64
+    for p in ps:
+        out[p] += np.bincount(seg_copy, weights=d ** float(p), minlength=copies)
     if with_linf:
         out["inf"] = np.zeros(copies)
-    if not union or copies == 0:
-        return out
-    xd, yd = x.to_dict(), y.to_dict()
-    # an absent side goes in as -inf, so the maxima run over landed support
-    # only, and comes out as 0
-    vals = np.array([[xd.get(i, -np.inf), yd.get(i, -np.inf)] for i in union])
-    grid = bucket_grid(seed, copies, np.asarray(union, dtype=np.uint64), m)
-    keys = (np.arange(copies, dtype=np.int64)[:, None] * m + grid).ravel()
-    ks, top = _max_pool_keys(keys, np.tile(vals, (copies, 1)))
-    top[np.isneginf(top)] = 0.0
-    d = np.abs(top[:, 0] - top[:, 1])
-    seg_copy = ks // m
-    for p in ps:
-        out[p] = np.bincount(seg_copy, weights=d ** float(p), minlength=copies)
-    if with_linf:
-        linf = np.zeros(copies)
-        np.maximum.at(linf, seg_copy, d)
-        out["inf"] = linf
+        np.maximum.at(out["inf"], seg_copy, d)
     return out
 
 

@@ -23,6 +23,7 @@ from sparse_sketch.apps import (
     two_partitions,
 )
 from sparse_sketch.datagen import random_nonneg_dataset
+from sparse_sketch.embeddings import landed_buckets, max_embed
 from sparse_sketch.errors import (
     NonNegativeRequired,
     ParseError,
@@ -415,7 +416,6 @@ def test_estimator_lower_median_rule():
     per_rep = []
     for rep in range(est.R):
         z = np.zeros(est.m)
-        from sparse_sketch.embeddings import landed_buckets
         b, v = landed_buckets(est.map_for(rep), y)
         z[b] = v
         total = 0.0
@@ -426,6 +426,53 @@ def test_estimator_lower_median_rule():
         per_rep.append(total)
     expect = sorted(per_rep)[(est.R - 1) // 2]
     assert est.query(y) == pytest.approx(expect, rel=1e-12)
+
+
+def per_copy_estimator(est, data):
+    """Tables and per-rep query estimates built one repetition at a time from
+    ``landed_buckets``, adding the vectors in order, with repeated
+    multiplication for the powers; returns the tables, the query function
+    and the number of images in which two coordinates collided."""
+    tables = np.zeros((est.R, est.m, est.p + 1))
+    tables[:, :, 0] = float(len(data))
+    collided = 0
+    for rep in range(est.R):
+        for vec in data.vectors:
+            b, v = landed_buckets(est.map_for(rep), vec)
+            collided += len(b) < vec.sparsity
+            ve = v
+            for e in range(1, est.p + 1):
+                np.add.at(tables[rep, :, e], b, ve)
+                if e < est.p:
+                    ve = ve * v
+
+    def query(y):
+        per_rep = []
+        for rep in range(est.R):
+            z, zk, total = max_embed(est.map_for(rep), y), np.ones(est.m), 0.0
+            for k in range(est.p + 1):
+                total += (-1.0 if k % 2 else 1.0) * math.comb(est.p, k) * float(
+                    zk @ tables[rep, :, est.p - k])
+                zk = zk * z
+            per_rep.append(total)
+        return sorted(per_rep)[(est.R - 1) // 2]
+
+    return tables, query, collided
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+@pytest.mark.parametrize("n, s, d, eps", [(1, 3, 100, 0.5), (60, 5, 40, 0.95)],
+                         ids=["single-vector", "shared-coordinates"])
+def test_estimator_equals_the_per_copy_build(p, n, s, d, eps):
+    # 60 vectors over 40 coordinates put many vectors in each table cell,
+    # where the order of the additions shows in the last bits
+    data = random_nonneg_dataset(n, s, d, seed=40 + p)
+    est = build_estimator(data, p=p, eps=eps, seed=p)
+    tables, query, collided = per_copy_estimator(est, data)
+    assert (est.power_sums == tables).all()
+    assert n == 1 or collided > 0
+    for y in random_nonneg_dataset(5, s, d, seed=50 + p).vectors + data.vectors[:2]:
+        assert est.query(y) == query(y)
 
 
 def test_estimator_serialization_round_trip():

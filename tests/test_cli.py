@@ -463,6 +463,41 @@ def test_over_budget_copy_counts_are_precondition_errors(tmp_path, argv):
     assert "Traceback" not in run.stderr and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "--mode", "discrete", "--delta", "1", "--p", "inf"],
+    ["distort", "--mode", "discrete", "--delta", "1", "--p", "inf"],
+    ["distort", "--mode", "discrete", "--delta", "1", "--p", "2000"],
+    ["embed", "--mode", "discrete", "--delta", "1", "--p", "1100"],
+    ["embed", "--eps", "5e-324"],
+    ["apps", "maxcut", "--eps", "1e-160"],
+    ["apps", "dist-est", "--eps", "1e-160", "--queries", "DATA"],
+    ["apps", "maxcut", "--eps", "1e-200"],
+    ["apps", "dist-est", "--eps", "1e-200", "--queries", "DATA"],
+    ["apps", "dist-est", "--p", "1100", "--eps", "0.5", "--queries", "DATA"],
+], ids=["embed-discrete-pinf", "distort-discrete-pinf", "distort-discrete-p2000",
+        "embed-discrete-p1100", "embed-eps-denormal", "maxcut-eps-1e-160",
+        "dist-est-eps-1e-160", "maxcut-eps-1e-200", "dist-est-eps-1e-200",
+        "dist-est-p1100"])
+def test_planner_overflows_are_precondition_errors(tmp_path, capsys, argv):
+    # each used to exit 1 with an OverflowError or ZeroDivisionError traceback
+    data, _ = write_data(tmp_path, n=4)
+    out = tmp_path / "o.csv"
+    argv = [data if a == "DATA" else a for a in argv]
+    rc, err = _run(argv + ["--input", data, "--output", str(out)], capsys)
+    assert rc == 3 and "precondition error" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dist_est_sum_beyond_float_range_is_infinite(tmp_path):
+    path = tmp_path / "big.tsv"
+    path.write_text("# d: 10\na\t0:3.0 1:5.0\nb\t2:1.0\n")
+    out = tmp_path / "o.csv"
+    assert main(["apps", "dist-est", "--p", "1000", "--eps", "0.5", "--input", str(path),
+                 "--queries", str(path), "--output", str(out)]) == 0
+    assert csv_rows(out)[1][0][1] == "inf"  # the true sum of 7^1000-sized powers
+
+
 def test_params_json_with_zero_copies_is_a_precondition_error(tmp_path, capsys):
     data, _ = write_data(tmp_path)
     out = tmp_path / "o.csv"
@@ -507,6 +542,37 @@ def test_distort_exit_codes_on_any_input(suffix, data, p):
         with redirect_stderr(err):
             rc = main(["distort", "--input", str(path), "--output", str(Path(tmp) / "o.csv"),
                        "--m", "5", "--T", "3", "--p", p])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def planner_data(tmp_path_factory):
+    return write_data(tmp_path_factory.mktemp("planner"), n=4)[0]
+
+
+_PLANNER_COMMANDS = {
+    "embed": ["embed", "--m", "5", "--T", "3"],
+    "distort": ["distort", "--m", "5", "--T", "3"],
+    "maxcut": ["apps", "maxcut"],
+    "dist-est": ["apps", "dist-est", "--queries", "DATA"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(_PLANNER_COMMANDS)),
+       mode=st.sampled_from(["all-p", "linf-exact", "sum-linf", "discrete"]),
+       delta=st.sampled_from([None, "0", "1", "3"]),
+       p=st.sampled_from(["1", "2", "4", "1100", "2000", "inf"]),
+       eps=st.sampled_from(["0.5", "1e-3", "1e-160", "1e-200", "5e-324"]))
+def test_exit_codes_over_the_planner_flags(planner_data, command, mode, delta, p, eps):
+    # the planner runs before --m/--T replace its sizes, so accepted runs stay small
+    argv = [planner_data if a == "DATA" else a for a in _PLANNER_COMMANDS[command]]
+    argv += ["--mode", mode, "--p", p, "--eps", eps] + ([] if delta is None else ["--delta", delta])
+    with tempfile.TemporaryDirectory() as tmp:
+        err = StringIO()
+        with redirect_stderr(err):
+            rc = main(argv + ["--input", planner_data, "--output", str(Path(tmp) / "o.csv")])
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
 

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from sparse_sketch import pairwise
-from sparse_sketch.embeddings import stack_embed
+from sparse_sketch.embeddings import MaxHashMap, landed_buckets, stack_embed
 from sparse_sketch.errors import DimensionMismatch, PreconditionError
+from sparse_sketch.hashing import HashSpec
 from sparse_sketch.pairwise import (
     _BLOCK,
     HASH_BUDGET,
     lp_dists,
     pair_copy_tables,
     pairwise_power_dists,
+    stacked_image,
     stacked_power_sums,
 )
 from sparse_sketch.vectors import INF, SparseVector, lp_dist
@@ -60,8 +62,21 @@ def test_pair_copy_tables_match_dense(signed):
         for p in ps:
             assert float(tables[p].sum()) == pytest.approx(
                 naive_stack_pair_powers(x, y, m, T, seed, p), rel=1e-9, abs=1e-12)
-        assert float(tables["inf"].max(initial=0.0)) == pytest.approx(
-            naive_stack_linf(x, y, m, T, seed), rel=1e-9, abs=1e-12)
+        # the max of the same float differences
+        assert float(tables["inf"].max(initial=0.0)) == naive_stack_linf(x, y, m, T, seed)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_stacked_image_is_the_per_copy_images(signed):
+    rng = np.random.default_rng(77 if signed else 88)
+    for _ in range(25):
+        vecs, m, T, seed = build_case(rng, signed)
+        keys, vals = stacked_image(vecs[0], m, T, seed)
+        assert (np.diff(keys) > 0).all()
+        for c in range(T):
+            b, v = landed_buckets(MaxHashMap(HashSpec(seed, c, m)), vecs[0])
+            here = (keys >= c * m) & (keys < (c + 1) * m)
+            assert np.array_equal(keys[here] - c * m, b) and np.array_equal(vals[here], v)
 
 
 def lp_dist_matrix(xs, ys, p):

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""sha256 digests of 21 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 22 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
 mode) and prints one `<sha256>  <label>` line per command. A wider
 40-vector dataset adds commands whose output moves when an exact-distance
-kernel's last bits do. The path-valued keys of each `# config:` line are
+kernel's last bits do, and an embedding wider than 10^5 cells hashes
+six-digit column names. The path-valued keys of each `# config:` line are
 dropped before hashing, so the digests do not depend on where the files
 live, and two checkouts compare with one diff:
 
@@ -67,6 +68,8 @@ COMMANDS = {
     "wide distort p 3": ["distort", "--input", "WIDE", "--p", "3"],
     "wide cluster-cost means p 4": ["apps", "cluster-cost", "--input", "WIDE", "--p", "4",
                                     "--objective", "means", *WIDE_CLUSTERS],
+    "embed width 120000": ["embed", "--input", "DATA", "--m", "20000", "--T", "6",
+                           "--seed", "5"],
 }
 
 

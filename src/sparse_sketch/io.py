@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InternalCheckError, ParseError
 from .vectors import Dataset, SparseVector
 
 
@@ -32,6 +32,35 @@ def _format_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _float_cells(row) -> str:
+    """The cells of a float row joined by commas, each as its float's repr.
+    Only the cells that are not +0.0 are formatted; -0.0, nan and +-inf
+    still go through repr."""
+    row = np.asarray(row, dtype=np.float64)
+    cells = ["0.0"] * row.size
+    keep = np.flatnonzero((row != 0) | np.signbit(row))
+    for i, v in zip(keep.tolist(), row[keep].tolist()):
+        cells[i] = repr(v)
+    return ",".join(cells)
+
+
+def _column_names(width: int) -> str:
+    """``",v0,v1,...,v{width-1}"``, one uint8 block of ",v" plus k digits
+    per digit count k."""
+    blocks = []
+    k, lo = 1, 0
+    while lo < width:
+        hi = min(10 ** k, width)
+        col = np.arange(lo, hi, dtype=np.int64)
+        block = np.empty((hi - lo, k + 2), dtype=np.uint8)
+        block[:, 0], block[:, 1] = ord(","), ord("v")
+        for j in range(k):  # the 10^j digit
+            block[:, k + 1 - j] = col // 10 ** j % 10 + ord("0")
+        blocks.append(block.tobytes())
+        k, lo = k + 1, hi
+    return b"".join(blocks).decode("ascii")
 
 
 def config_line(config: dict) -> str:
@@ -146,12 +175,16 @@ def write_report(path: str, config: dict, header: Sequence[str],
 
 def write_embedding_csv(path: str, config: dict, ids: Sequence[str],
                         rows: Iterable[np.ndarray], width: int) -> None:
-    header = ["id"] + [f"v{i}" for i in range(width)]
+    """Embedding CSV: `id,v0,...,v{width-1}`, then one row of `width` cells
+    per id; a row of another size is an InternalCheckError."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(config_line(config) + "\n")
-        fh.write(",".join(header) + "\n")
+        fh.write("id" + _column_names(width) + "\n")
         for vec_id, row in zip(ids, rows):
-            fh.write(vec_id + "," + ",".join(repr(float(v)) for v in row) + "\n")
+            if np.shape(row) != (width,):
+                raise InternalCheckError(f"embedding row {vec_id!r} has {np.size(row)} "
+                                         f"cells, expected {width}")
+            fh.write(vec_id + "," + _float_cells(row) + "\n")
 
 
 def read_embedding_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -179,7 +212,7 @@ def write_dense_map_csv(path: str, matrix: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{m},{d}\n")
         for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(_float_cells(row) + "\n")
 
 
 def read_dense_map_csv(path: str) -> np.ndarray:

@@ -11,17 +11,20 @@ the last bit), added slot by slot in index order. ``lp_dist`` stays as the
 scalar definition that the tests and the benchmark check against.
 
 ``_max_pool_keys`` is the package's one max-pool kernel (sorted distinct
-keys, the max of the values on each). ``stacked_image`` is the one map of a
-vector into stacked copies: one ``bucket_grid`` and one kernel call over the
-keys copy * m + bucket. ``embeddings.stack_embed`` scatters it into a dense
-row, and the distance estimator's R repetitions are its R copies.
+keys, the max of the values on each), and ``_pool_grid`` the one place that
+turns a grid of buckets into keys copy * m + bucket for it. ``stacked_image``
+is the one map of a vector into stacked copies: one ``bucket_grid`` and one
+``_pool_grid``. ``embeddings.stack_embed`` scatters it into a dense row, and
+the distance estimator's R repetitions are its R copies.
 ``embeddings.landed_buckets`` is the single-copy image.
 
 Two evaluation strategies, both exact (up to float roundoff) and
 cross-checked against the dense definition in the test suite:
 
 * ``pair_copy_tables``: merges the stacked images of one pair, key by key,
-  into |f_c(x) - f_c(y)| (an absent side counts as 0). Memory O(T * union).
+  into |f_c(x) - f_c(y)| (an absent side counts as 0). Both images come from
+  one ``bucket_grid`` and one ``_pool_grid``, y's keys shifted up by
+  copies * m. Memory O(T * union).
   Also gives the per-copy max-norm distances, which nothing else computes.
 * ``stacked_power_sums``: all pairs of a dataset at once, for finite p. A
   copy without collisions contributes exactly the true distance, so the
@@ -44,6 +47,9 @@ cross-checked against the dense definition in the test suite:
   |t_u - t_v|^p - sum |x_u - x_v|^p, the exact correction; with only u in
   it, u's row term is. Sums are clamped at 0, and pairs with a zero true
   distance (equal vectors, so equal images) are set to exactly 0.
+
+Both power-sum functions raise PreconditionError when a p-th power
+overflows (a large p), rather than return inf or nan.
 """
 
 from __future__ import annotations
@@ -80,8 +86,15 @@ def stacked_image(x: SparseVector, m: int, copies: int,
     keys copy * m + bucket and the pooled maximum on each."""
     require_hashes(copies, m, x.sparsity)
     grid = bucket_grid(seed, copies, np.asarray(x.indices, dtype=np.uint64), m)
-    keys = np.arange(copies, dtype=np.int64)[:, None] * m + grid
-    return _max_pool_keys(keys.ravel(), np.tile(np.asarray(x.values, dtype=np.float64), copies))
+    return _pool_grid(grid, x.values, m)
+
+
+def _pool_grid(grid: np.ndarray, values, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max pool of a (copies, k) grid of buckets whose column j holds
+    values[j]: sorted keys copy * m + bucket and the maximum on each."""
+    keys = np.arange(grid.shape[0], dtype=np.int64)[:, None] * m + grid
+    return _max_pool_keys(keys.ravel(),
+                          np.tile(np.asarray(values, dtype=np.float64), grid.shape[0]))
 
 
 def pair_copy_tables(
@@ -98,12 +111,17 @@ def pair_copy_tables(
     Returns {p: array of length `copies` holding ||f_c(x) - f_c(y)||_p^p}
     plus key "inf" (per-copy max-norm distances) when requested.
     """
-    require_hashes(copies, m, len(set(x.indices) | set(y.indices)))
-    kx, vx = stacked_image(x, m, copies, seed)
-    ky, vy = stacked_image(y, m, copies, seed)
+    shift = copies * m
+    require_hashes(copies, 2 * m, len(set(x.indices) | set(y.indices)))  # keys below 2 * shift
+    # one grid for both images, y's buckets shifted up by copies * m so that
+    # its keys pool apart from x's and sort after them
+    grid = bucket_grid(seed, copies, np.asarray(x.indices + y.indices, dtype=np.uint64), m)
+    grid[:, x.sparsity:] += shift
+    pooled, vals = _pool_grid(grid, x.values + y.values, m)
+    y_side = pooled >= shift
     # 0.0 + x - y per key, x's entry first; an absent side counts as 0
-    keys, inv = np.unique(np.concatenate([kx, ky]), return_inverse=True)
-    d = np.abs(np.bincount(inv, weights=np.concatenate([vx, -vy]), minlength=len(keys)))
+    keys, inv = np.unique(pooled - shift * y_side, return_inverse=True)
+    d = np.abs(np.bincount(inv, weights=np.where(y_side, -vals, vals), minlength=len(keys)))
     seg_copy = keys // m
     out: dict = {p: np.zeros(copies) for p in ps}  # np.bincount of nothing is int64
     for p in ps:
@@ -159,7 +177,17 @@ def _padded(vectors: Sequence[SparseVector], rank: np.ndarray, pad: int, sign: f
 
 def pairwise_power_dists(vectors: Sequence[SparseVector], ps: Sequence[float]) -> dict:
     """Exact {p: (n, n) matrix of ||x_i - x_j||_p^p} over the raw vectors."""
-    return {p: np.float_power(lp_dists(vectors, vectors, p), float(p)) for p in ps}
+    return _require_finite({p: np.float_power(lp_dists(vectors, vectors, p), float(p))
+                            for p in ps})
+
+
+def _require_finite(powers: dict) -> dict:
+    """`powers`, or PreconditionError when a matrix holds an overflowed p-th
+    power (inf, or the nan of inf - inf)."""
+    for p, mat in powers.items():
+        if not np.isfinite(mat).all():
+            raise PreconditionError(f"p = {p:g}: p-th powers of these distances overflow a float")
+    return powers
 
 
 def _ownership(vectors: Sequence[SparseVector]):
@@ -301,4 +329,4 @@ def stacked_power_sums(
         t[base[p] == 0.0] = 0.0  # equal vectors have equal images
         np.fill_diagonal(t, 0.0)
         np.maximum(t, 0.0, out=t)  # a sum of powers; drops negative roundoff
-    return totals
+    return _require_finite(totals)

@@ -12,6 +12,8 @@ import numpy as np
 
 from sparse_sketch.embeddings import EmbedParams, StackedEmbedding
 from sparse_sketch.hashing import HashSpec, hash_bucket
+from sparse_sketch.io import config_line
+from sparse_sketch.pairwise import stacked_image
 from sparse_sketch.vectors import INF, SparseVector
 
 
@@ -78,3 +80,31 @@ def random_sparse(rng, d, s, signed=False, delta=3) -> SparseVector:
         vals = 1.0 - rng.random(s)
     return SparseVector.from_pairs(zip(sup.tolist(), vals.tolist()), d)
 
+
+def two_image_tables(x, y, m, T, seed, ps) -> dict:
+    """`pair_copy_tables` as a merge of two separate `stacked_image` calls:
+    {p: per-copy p-th powers, "inf": per-copy max-norm distances}."""
+    kx, vx = stacked_image(x, m, T, seed)
+    ky, vy = stacked_image(y, m, T, seed)
+    keys, inv = np.unique(np.concatenate([kx, ky]), return_inverse=True)
+    d = np.abs(np.bincount(inv, weights=np.concatenate([vx, -vy]), minlength=len(keys)))
+    out = {p: np.zeros(T) + np.bincount(keys // m, weights=d ** p, minlength=T) for p in ps}
+    out["inf"] = np.zeros(T)
+    np.maximum.at(out["inf"], keys // m, d)
+    return out
+
+
+def cell_by_cell(row) -> str:
+    """A float row formatted one cell at a time, each as repr(float(v))."""
+    return ",".join(repr(float(v)) for v in row)
+
+
+def embedding_header(width: int) -> str:
+    return ",".join(["id"] + [f"v{i}" for i in range(width)])
+
+
+def embedding_csv_text(config: dict, ids, rows, width: int) -> str:
+    """The embedding CSV as the cell-by-cell writer produced it."""
+    lines = [config_line(config), embedding_header(width)]
+    lines += [vec_id + "," + cell_by_cell(row) for vec_id, row in zip(ids, rows)]
+    return "".join(line + "\n" for line in lines)

@@ -16,10 +16,10 @@ import sparse_sketch
 from sparse_sketch import io
 from sparse_sketch.cli import _parse_p, main
 from sparse_sketch.datagen import random_nonneg_dataset
-from sparse_sketch.embeddings import estimate_distance
+from sparse_sketch.embeddings import EmbedParams, StackedEmbedding, estimate_distance, stack_embed
 from sparse_sketch.vectors import Dataset, SparseVector
 
-from helpers import manual_params, stack_of
+from helpers import embedding_csv_text, manual_params, stack_of
 
 
 def write_data(tmp_path, name="data.tsv", n=6, s=3, d=500, seed=1):
@@ -58,6 +58,32 @@ def test_embed_round_trip_and_params(tmp_path):
     rc = main(["embed", "--input", data, "--output", out, "--mode", "linf-exact",
                "--seed", "7"])
     assert rc == 0 and read_lines(out) == first
+
+
+@pytest.mark.parametrize("signed, flags", [
+    (False, ["--m", "300", "--T", "40"]),  # width 12000: five-digit column names
+    (True, ["--mode", "discrete", "--delta", "1", "--p", "1", "--eps", "0.9"]),
+], ids=["all-p", "signed-discrete"])
+def test_embed_file_equals_the_cell_by_cell_writer(tmp_path, signed, flags):
+    data = _signed_data(tmp_path) if signed else write_data(tmp_path)[0]
+    out = str(tmp_path / "emb.csv")
+    assert main(["embed", "--input", data, "--output", out, "--seed", "3", *flags]) == 0
+    params, seed = EmbedParams.from_json_dict(io.read_json(io.default_params_path(out)))
+    stack = StackedEmbedding(params, seed)
+    dataset = io.read_dataset(data)
+    text = read_lines(out)
+    config = json.loads(text.split("\n", 1)[0][len("# config: "):])
+    rows = [stack_embed(stack, v) for _, v in dataset]
+    assert text == embedding_csv_text(config, dataset.ids, rows, params.m * params.T)
+
+
+def test_embed_row_of_the_wrong_width_exits_4(tmp_path, capsys, monkeypatch):
+    import sparse_sketch.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "stack_embed", lambda stack, v: np.zeros(stack.m))
+    data, _ = write_data(tmp_path)
+    rc, err = _run(["embed", "--input", data, "--output", str(tmp_path / "o.csv"),
+                    "--m", "8", "--T", "2"], capsys)
+    assert rc == 4 and "has 8 cells, expected 16" in err
 
 
 def test_embed_rejects_negative_data_outside_discrete(tmp_path):
@@ -489,6 +515,22 @@ def test_planner_overflows_are_precondition_errors(tmp_path, capsys, argv):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["distort", "--p", "2000", "--m", "5", "--T", "3"],
+    ["apps", "maxcut", "--p", "2000", "--eps", "0.5"],
+    ["apps", "cluster-cost", "--p", "2000", "--clusters", "0,1,0", "--m", "5", "--T", "3"],
+], ids=["distort", "maxcut", "cluster-cost"])
+def test_overflowing_powers_are_precondition_errors(tmp_path, capsys, argv):
+    # each used to exit 0 with nan, a true max-cut of 0.0 or an inf sketch
+    path = tmp_path / "big.tsv"
+    path.write_text("a\t0:3 1:5\nb\t2:1\nc\t1:2.5 4:7\n")
+    out = tmp_path / "o.csv"
+    rc, err = _run(argv + ["--input", str(path), "--output", str(out)], capsys)
+    assert rc == 3 and "overflow a float" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_dist_est_sum_beyond_float_range_is_infinite(tmp_path):
     path = tmp_path / "big.tsv"
     path.write_text("# d: 10\na\t0:3.0 1:5.0\nb\t2:1.0\n")
@@ -582,5 +624,5 @@ def test_cli_digest_script_prints_one_digest_per_command():
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 21
+    assert len(lines) == 22
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_sketch import io
 from sparse_sketch.embeddings import EmbedParams, plan_params
-from sparse_sketch.errors import ParseError
+from sparse_sketch.errors import InternalCheckError, ParseError
 from sparse_sketch.vectors import Dataset, SparseVector
+
+from helpers import cell_by_cell, embedding_header
 
 
 def test_text_round_trip(tmp_path):
@@ -85,6 +91,33 @@ def test_embedding_csv_round_trip(tmp_path):
     ids, arr = io.read_embedding_csv(path)
     assert ids == ["a", "b"]
     assert np.array_equal(arr, np.stack(rows))
+
+
+_ODD_FLOATS = st.sampled_from([-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                                1e-310, -2.5, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 200), data=st.data())
+def test_float_cells_equal_the_cell_by_cell_format(n, data):
+    row = np.zeros(n)
+    if n:
+        cells = st.tuples(st.integers(0, n - 1), st.one_of(_ODD_FLOATS, st.floats()))
+        for i, v in data.draw(st.lists(cells, max_size=1 + n // 4)):
+            row[i] = v
+    assert io._float_cells(row) == cell_by_cell(row)
+
+
+@pytest.mark.parametrize("width", [0, 1, 9, 10, 11, 99, 100, 101, 10**4, 896_000])
+def test_embedding_header_equals_the_f_string_list(width):
+    assert "id" + io._column_names(width) == embedding_header(width)
+
+
+@pytest.mark.parametrize("cells", [2, 4])
+def test_embedding_row_of_the_wrong_width_is_an_internal_error(tmp_path, cells):
+    path = str(tmp_path / "emb.csv")
+    with pytest.raises(InternalCheckError, match=f"has {cells} cells, expected 3"):
+        io.write_embedding_csv(path, {}, ["a"], [np.ones(cells)], 3)
 
 
 def test_report_has_config_echo(tmp_path):

@@ -18,7 +18,13 @@ from sparse_sketch.pairwise import (
 )
 from sparse_sketch.vectors import INF, SparseVector, lp_dist
 
-from helpers import naive_stack_linf, naive_stack_pair_powers, random_sparse, stack_of
+from helpers import (
+    naive_stack_linf,
+    naive_stack_pair_powers,
+    random_sparse,
+    stack_of,
+    two_image_tables,
+)
 
 
 def build_case(rng, signed):
@@ -64,6 +70,44 @@ def test_pair_copy_tables_match_dense(signed):
                 naive_stack_pair_powers(x, y, m, T, seed, p), rel=1e-9, abs=1e-12)
         # the max of the same float differences
         assert float(tables["inf"].max(initial=0.0)) == naive_stack_linf(x, y, m, T, seed)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_pair_copy_tables_equal_the_merge_of_two_images(signed):
+    # one grid for the pair, split after pooling, gives the same bits
+    rng = np.random.default_rng(99 if signed else 111)
+    for case in range(60):
+        vecs, m, T, seed = build_case(rng, signed)
+        x, y = vecs[0], vecs[0] if case % 10 == 0 else vecs[-1]
+        T = 0 if case % 15 == 1 else T
+        got = pair_copy_tables(x, y, m, T, seed, ps=(1.0, 2.0, 3.0), with_linf=True)
+        want = two_image_tables(x, y, m, T, seed, (1.0, 2.0, 3.0))
+        for key, arr in want.items():
+            assert got[key].dtype == arr.dtype and got[key].tobytes() == arr.tobytes()
+
+
+def test_pair_copy_tables_key_both_images():
+    # x's and y's keys together run up to 2 * copies * m
+    x = SparseVector.from_pairs({0: 1.0}, 10)
+    m, copies = 1 << 31, 1 << 30
+    with pytest.raises(ValueError, match="too large to key"):
+        pair_copy_tables(x, x, m, copies, 0, ps=(2.0,))
+    with pytest.raises(PreconditionError, match="hash budget"):
+        stacked_image(x, m, copies, 0)  # one image's keys fit
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_powers_are_precondition_errors():
+    # 7^2000 is beyond float range; the sums used to come back inf or nan
+    a = SparseVector.from_pairs({0: 3.0, 1: 5.0}, 10)
+    b = SparseVector.from_pairs({2: 1.0}, 10)
+    c = SparseVector.from_pairs({1: 2.5, 4: 7.0}, 10)
+    with pytest.raises(PreconditionError, match="overflow"):
+        pairwise_power_dists([a, b, c], [2000.0])
+    with pytest.raises(PreconditionError, match="overflow"):
+        # a finite base, so that only the engine's own powers overflow
+        stacked_power_sums([a, b, c], 5, 3, 0, [2000.0], base={2000.0: np.ones((3, 3))})
+    assert np.isfinite(pairwise_power_dists([a, b, c], [300.0])[300.0]).all()
 
 
 @pytest.mark.parametrize("signed", [False, True])

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""sha256 digests of 22 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 23 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
 mode) and prints one `<sha256>  <label>` line per command. A wider
 40-vector dataset adds commands whose output moves when an exact-distance
-kernel's last bits do, and an embedding wider than 10^5 cells hashes
-six-digit column names. The path-valued keys of each `# config:` line are
-dropped before hashing, so the digests do not depend on where the files
-live, and two checkouts compare with one diff:
+kernel's last bits do, and embeddings wider than 10^5 and 10^6 cells hash
+six- and seven-digit column names. The path-valued keys of each
+`# config:` line are dropped before hashing, so the digests do not depend
+on where the files live, and two checkouts compare with one diff:
 
     python scripts/cli_digest.py > after.txt
     (cd ../other-checkout && python scripts/cli_digest.py) > before.txt
@@ -70,6 +70,8 @@ COMMANDS = {
                                     "--objective", "means", *WIDE_CLUSTERS],
     "embed width 120000": ["embed", "--input", "DATA", "--m", "20000", "--T", "6",
                            "--seed", "5"],
+    "embed width 1200000": ["embed", "--input", "DATA", "--m", "200000", "--T", "6",
+                            "--seed", "5"],
 }
 
 

@@ -48,7 +48,7 @@ from .errors import (
     SketchError,
 )
 from .hashing import HashSpec, derive_seed
-from .pairwise import lp_dists, stacked_power_sums
+from .pairwise import lp_dists, stacked_image, stacked_power_sums
 from .probes import (
     DenseLinearMap,
     UnifSpec,
@@ -101,12 +101,12 @@ def cmd_embed(args) -> int:
     params, seed = _load_params(args, dataset)
     if not dataset.nonneg and params.mode != "discrete":
         raise PreconditionError(f"mode {params.mode!r} requires a non-negative dataset")
-    stack = StackedEmbedding(params, seed)
     width = params.m * params.T
     require_cells(width, "embedding row")
     config = _config(args, width=width, **params.to_json_dict(seed))
     io.write_embedding_csv(args.output, config, list(dataset.ids),
-                           (stack_embed(stack, v) for _, v in dataset), width)
+                           (stacked_image(v, params.m, params.T, seed) for _, v in dataset),
+                           width)
     io.write_json(io.default_params_path(args.output), params.to_json_dict(seed))
     return 0
 
@@ -134,8 +134,9 @@ def _distort_pairs(args, dataset, params, seed):
     vecs, ids = dataset.vectors, dataset.ids
     n = len(vecs)
     true_d = lp_dists(vecs, vecs, p)
-    emb_d = _embedded_dists(vecs, params, seed, p,
-                            base=None if p == INF else {float(p): true_d ** p})
+    with np.errstate(over="ignore"):  # the engine's finiteness check reports it
+        base = None if p == INF else {float(p): true_d ** p}
+    emb_d = _embedded_dists(vecs, params, seed, p, base=base)
     for i in range(n):
         for j in range(i + 1, n):
             true, emb = float(true_d[i, j]), float(emb_d[i, j])

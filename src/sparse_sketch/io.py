@@ -11,13 +11,20 @@ with an optional "d" field.
 
 All writers emit a `# config: {...}` echo line first so any output file is
 reproducible from its own header.
+
+The embedding CSV (`id,v0,...,v{width-1}`, one row of width = m * T cells
+per vector) is written in binary mode, straight from each vector's sparse
+image: `_image_cells` emits runs of `,0.0` between the sorted keys and the
+repr of the value at each key, so no dense m * T row is built, and the
+header comes from `_column_names` as one uint8 block per digit count. The
+dense-map writer formats its rows with the same `_image_cells`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,33 +41,60 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _float_cells(row) -> str:
-    """The cells of a float row joined by commas, each as its float's repr.
-    Only the cells that are not +0.0 are formatted; -0.0, nan and +-inf
-    still go through repr."""
+def _image_cells(keys, values, width: int, what: str) -> bytes:
+    """``b",c0,c1,...,c{width-1}"`` for the row that holds `values` at the
+    strictly increasing `keys` and +0.0 elsewhere: runs of ``b",0.0"``
+    between keys, each value as its float's repr. A key out of order or
+    outside 0..width-1 is an InternalCheckError."""
+    parts = []
+    nxt = 0  # the first cell not yet written
+    for k, v in zip(np.asarray(keys).tolist(), np.asarray(values, dtype=np.float64).tolist()):
+        if not 0 <= k < width:
+            raise InternalCheckError(f"{what}: key {k} outside 0..{width - 1}")
+        if k < nxt:
+            raise InternalCheckError(f"{what}: key {k} out of order after key {nxt - 1}")
+        parts.append(b",0.0" * (k - nxt))
+        parts.append(b"," + repr(v).encode("ascii"))
+        nxt = k + 1
+    parts.append(b",0.0" * (width - nxt))
+    return b"".join(parts)
+
+
+def _float_cells(row) -> bytes:
+    """The cells of a float row joined by commas, each as its float's repr:
+    `_image_cells` of the cells that are not +0.0 (-0.0, nan and +-inf
+    included)."""
     row = np.asarray(row, dtype=np.float64)
-    cells = ["0.0"] * row.size
     keep = np.flatnonzero((row != 0) | np.signbit(row))
-    for i, v in zip(keep.tolist(), row[keep].tolist()):
-        cells[i] = repr(v)
-    return ",".join(cells)
+    return _image_cells(keep, row[keep], row.size, "dense row")[1:]
 
 
-def _column_names(width: int) -> str:
-    """``",v0,v1,...,v{width-1}"``, one uint8 block of ",v" plus k digits
-    per digit count k."""
-    blocks = []
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+
+
+def _place_digits(j: int, lo: int, count: int) -> np.ndarray:
+    """ASCII digit in the 10^j place of lo, lo+1, ..., lo+count-1: the ten
+    digits, each repeated 10^j times, tiled with period 10^(j+1) and read
+    from offset lo mod 10^(j+1)."""
+    run = 10 ** j
+    start = lo % (10 * run)
+    first, last = start // run, (start + count - 1) // run  # the runs it touches
+    runs = np.tile(_DIGITS, last // 10 + 1)[first:last + 1]
+    return np.repeat(runs, run)[start - first * run:][:count]
+
+
+def _column_names(width: int) -> Iterator[np.ndarray]:
+    """``",v0,v1,...,v{width-1}"`` as one (count, k+2) uint8 block of ",v"
+    plus k digits per digit count k."""
     k, lo = 1, 0
     while lo < width:
         hi = min(10 ** k, width)
-        col = np.arange(lo, hi, dtype=np.int64)
         block = np.empty((hi - lo, k + 2), dtype=np.uint8)
         block[:, 0], block[:, 1] = ord(","), ord("v")
-        for j in range(k):  # the 10^j digit
-            block[:, k + 1 - j] = col // 10 ** j % 10 + ord("0")
-        blocks.append(block.tobytes())
+        for j in range(k):
+            block[:, k + 1 - j] = _place_digits(j, lo, hi - lo)
+        yield block
         k, lo = k + 1, hi
-    return b"".join(blocks).decode("ascii")
 
 
 def config_line(config: dict) -> str:
@@ -174,30 +208,42 @@ def write_report(path: str, config: dict, header: Sequence[str],
 
 
 def write_embedding_csv(path: str, config: dict, ids: Sequence[str],
-                        rows: Iterable[np.ndarray], width: int) -> None:
+                        images: Iterable[tuple[np.ndarray, np.ndarray]], width: int) -> None:
     """Embedding CSV: `id,v0,...,v{width-1}`, then one row of `width` cells
-    per id; a row of another size is an InternalCheckError."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(config_line(config) + "\n")
-        fh.write("id" + _column_names(width) + "\n")
-        for vec_id, row in zip(ids, rows):
-            if np.shape(row) != (width,):
-                raise InternalCheckError(f"embedding row {vec_id!r} has {np.size(row)} "
-                                         f"cells, expected {width}")
-            fh.write(vec_id + "," + _float_cells(row) + "\n")
+    per id, written from its sparse image (sorted keys, values) with no
+    dense row; a key out of order or outside 0..width-1 is an
+    InternalCheckError."""
+    with open(path, "wb") as fh:
+        fh.write((config_line(config) + "\n").encode("utf-8"))
+        fh.write(b"id")
+        for block in _column_names(width):
+            fh.write(block)
+        fh.write(b"\n")
+        for vec_id, (keys, values) in zip(ids, images):
+            fh.write(vec_id.encode("utf-8"))
+            fh.write(_image_cells(keys, values, width, f"embedding row {vec_id!r}"))
+            fh.write(b"\n")
 
 
 def read_embedding_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Ids and rows of an embedding CSV; a row whose cell count differs
+    from the first line's (the header, if there is one) is a ParseError."""
     ids: list[str] = []
     rows: list[list[float]] = []
+    width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             cells = stripped.split(",")
+            if width is None:
+                width = len(cells) - 1
             if cells[0] == "id":
                 continue
+            if len(cells) - 1 != width:
+                raise ParseError(f"row {cells[0]!r} has {len(cells) - 1} values, "
+                                 f"expected {width}", lineno)
             ids.append(cells[0])
             try:
                 rows.append([float(c) for c in cells[1:]])
@@ -209,10 +255,10 @@ def read_embedding_csv(path: str) -> tuple[list[str], np.ndarray]:
 def write_dense_map_csv(path: str, matrix: np.ndarray) -> None:
     """Dense map file: an `m,d` header then m rows of d values."""
     m, d = matrix.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{m},{d}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{m},{d}\n".encode("ascii"))
         for row in matrix:
-            fh.write(_float_cells(row) + "\n")
+            fh.write(_float_cells(row) + b"\n")
 
 
 def read_dense_map_csv(path: str) -> np.ndarray:

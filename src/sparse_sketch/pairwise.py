@@ -177,8 +177,9 @@ def _padded(vectors: Sequence[SparseVector], rank: np.ndarray, pad: int, sign: f
 
 def pairwise_power_dists(vectors: Sequence[SparseVector], ps: Sequence[float]) -> dict:
     """Exact {p: (n, n) matrix of ||x_i - x_j||_p^p} over the raw vectors."""
-    return _require_finite({p: np.float_power(lp_dists(vectors, vectors, p), float(p))
-                            for p in ps})
+    dists = {p: lp_dists(vectors, vectors, p) for p in ps}
+    with np.errstate(over="ignore"):  # reported by _require_finite
+        return _require_finite({p: np.float_power(d, float(p)) for p, d in dists.items()})
 
 
 def _require_finite(powers: dict) -> dict:
@@ -303,11 +304,13 @@ def stacked_power_sums(
         gi, gj = _run_pairs(np.diff(_run_starts(seg_group), append=len(seg)))
         pair_key = seg_vec[gi] * n + seg_vec[gj]
         for p in ps:
-            tp = np.abs(top) ** p
-            rows[p] += np.bincount(seg_vec, minlength=n,
-                                   weights=tp - np.add.reduceat(np.abs(val) ** p, seg))
-            pairs[p] += np.bincount(pair_key, minlength=n * n,
-                                    weights=np.abs(top[gi] - top[gj]) ** p - tp[gi] - tp[gj])
+            # an overflowed power (inf, or nan from inf - inf) is reported by _require_finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                tp = np.abs(top) ** p
+                rows[p] += np.bincount(seg_vec, minlength=n,
+                                       weights=tp - np.add.reduceat(np.abs(val) ** p, seg))
+                pairs[p] += np.bincount(pair_key, minlength=n * n,
+                                        weights=np.abs(top[gi] - top[gj]) ** p - tp[gi] - tp[gj])
 
     # owner pairs of each shared coordinate, weighted by the copies it collides in
     shared = np.flatnonzero((hits > 0) & (ocounts > 1))
@@ -317,15 +320,16 @@ def stacked_power_sums(
     cx, cy = owner_val[opos[ci]], owner_val[opos[cj]]
     c_key = owner_vec[opos[ci]] * n + owner_vec[opos[cj]]
     for p in ps:
-        pairs[p] += np.bincount(c_key, minlength=n * n,
-                                weights=c_hits * (np.abs(cx) ** p + np.abs(cy) ** p
-                                                  - np.abs(cx - cy) ** p))
-        pair = pairs[p].reshape(n, n)
-        t = totals[p]
-        t += rows[p][:, None]
-        t += rows[p][None, :]
-        t += pair
-        t += pair.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs[p] += np.bincount(c_key, minlength=n * n,
+                                    weights=c_hits * (np.abs(cx) ** p + np.abs(cy) ** p
+                                                      - np.abs(cx - cy) ** p))
+            pair = pairs[p].reshape(n, n)
+            t = totals[p]
+            t += rows[p][:, None]
+            t += rows[p][None, :]
+            t += pair
+            t += pair.T
         t[base[p] == 0.0] = 0.0  # equal vectors have equal images
         np.fill_diagonal(t, 0.0)
         np.maximum(t, 0.0, out=t)  # a sum of powers; drops negative roundoff

@@ -79,11 +79,14 @@ def test_embed_file_equals_the_cell_by_cell_writer(tmp_path, signed, flags):
 
 def test_embed_row_of_the_wrong_width_exits_4(tmp_path, capsys, monkeypatch):
     import sparse_sketch.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "stack_embed", lambda stack, v: np.zeros(stack.m))
     data, _ = write_data(tmp_path)
-    rc, err = _run(["embed", "--input", data, "--output", str(tmp_path / "o.csv"),
-                    "--m", "8", "--T", "2"], capsys)
-    assert rc == 4 and "has 8 cells, expected 16" in err
+    for keys, message in (([16], "key 16 outside 0..15"),
+                          ([8, 0], "key 0 out of order after key 8")):
+        monkeypatch.setattr(cli_mod, "stacked_image",
+                            lambda v, m, T, seed: (np.array(keys), np.ones(len(keys))))
+        rc, err = _run(["embed", "--input", data, "--output", str(tmp_path / "o.csv"),
+                        "--m", "8", "--T", "2"], capsys)
+        assert rc == 4 and message in err
 
 
 def test_embed_rejects_negative_data_outside_discrete(tmp_path):
@@ -514,20 +517,25 @@ def test_planner_overflows_are_precondition_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err and not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["distort", "--p", "2000", "--m", "5", "--T", "3"],
     ["apps", "maxcut", "--p", "2000", "--eps", "0.5"],
     ["apps", "cluster-cost", "--p", "2000", "--clusters", "0,1,0", "--m", "5", "--T", "3"],
 ], ids=["distort", "maxcut", "cluster-cost"])
-def test_overflowing_powers_are_precondition_errors(tmp_path, capsys, argv):
-    # each used to exit 0 with nan, a true max-cut of 0.0 or an inf sketch
+def test_overflowing_powers_are_precondition_errors(tmp_path, argv):
+    # each used to exit 0 with nan, a true max-cut of 0.0 or an inf sketch, and
+    # then to print numpy's overflow warnings before the error message
     path = tmp_path / "big.tsv"
     path.write_text("a\t0:3 1:5\nb\t2:1\nc\t1:2.5 4:7\n")
     out = tmp_path / "o.csv"
-    rc, err = _run(argv + ["--input", str(path), "--output", str(out)], capsys)
-    assert rc == 3 and "overflow a float" in err
-    assert "Traceback" not in err and not out.exists()
+    src = str(Path(sparse_sketch.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-W", "default", "-m", "sparse_sketch.cli", *argv,
+                          "--input", str(path), "--output", str(out)],
+                         capture_output=True, text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 3 and "overflow a float" in run.stderr
+    assert "Warning" not in run.stderr and "Traceback" not in run.stderr
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -624,5 +632,5 @@ def test_cli_digest_script_prints_one_digest_per_command():
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 22
+    assert len(lines) == 23
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

@@ -86,11 +86,22 @@ def test_params_json_round_trip(tmp_path):
 
 def test_embedding_csv_round_trip(tmp_path):
     path = str(tmp_path / "emb.csv")
-    rows = [np.array([1.0, 0.0, 2.5]), np.array([0.125, -1.0, 3.0])]
-    io.write_embedding_csv(path, {"seed": 1}, ["a", "b"], iter(rows), 3)
+    images = [(np.array([0, 2]), np.array([1.0, 2.5])),
+              (np.array([0, 1, 2]), np.array([0.125, -1.0, 3.0]))]
+    io.write_embedding_csv(path, {"seed": 1}, ["a", "b"], iter(images), 3)
     ids, arr = io.read_embedding_csv(path)
     assert ids == ["a", "b"]
-    assert np.array_equal(arr, np.stack(rows))
+    assert np.array_equal(arr, np.array([[1.0, 0.0, 2.5], [0.125, -1.0, 3.0]]))
+
+
+def test_ragged_embedding_csv_is_a_parse_error(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("# config: {}\nid,v0,v1,v2\na,1.0,0.0,2.5\nb,0.5,1.0\n")
+    with pytest.raises(ParseError, match="line 4.*'b' has 2 values, expected 3"):
+        io.read_embedding_csv(str(path))
+    path.write_text("a,1.0,0.0\nb,0.5,1.0,2.0\n")  # no header: the first row sets the width
+    with pytest.raises(ParseError, match="line 2.*'b' has 3 values, expected 2"):
+        io.read_embedding_csv(str(path))
 
 
 _ODD_FLOATS = st.sampled_from([-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
@@ -105,19 +116,41 @@ def test_float_cells_equal_the_cell_by_cell_format(n, data):
         cells = st.tuples(st.integers(0, n - 1), st.one_of(_ODD_FLOATS, st.floats()))
         for i, v in data.draw(st.lists(cells, max_size=1 + n // 4)):
             row[i] = v
-    assert io._float_cells(row) == cell_by_cell(row)
+    assert io._float_cells(row) == cell_by_cell(row).encode()
 
 
-@pytest.mark.parametrize("width", [0, 1, 9, 10, 11, 99, 100, 101, 10**4, 896_000])
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(1, 300), data=st.data())
+def test_image_cells_equal_the_cell_by_cell_format_of_the_scattered_row(width, data):
+    keys = data.draw(st.sets(st.one_of(st.sampled_from([0, width - 1]),
+                                       st.integers(0, width - 1)), max_size=1 + width // 4))
+    keys = np.array(sorted(keys), dtype=np.int64)
+    values = np.array(data.draw(st.lists(st.one_of(_ODD_FLOATS, st.floats()),
+                                         min_size=len(keys), max_size=len(keys))))
+    row = np.zeros(width)
+    row[keys] = values
+    got = io._image_cells(keys, values, width, "row")
+    assert got == ("," + cell_by_cell(row)).encode()
+
+
+@pytest.mark.parametrize("width", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10**4,
+                                   10001, 99_999, 10**5, 100_001, 896_000, 999_999, 10**6,
+                                   1_000_001, 1_234_567])
 def test_embedding_header_equals_the_f_string_list(width):
-    assert "id" + io._column_names(width) == embedding_header(width)
+    names = b"".join(io._column_names(width)).decode("ascii")
+    assert "id" + names == embedding_header(width)
 
 
-@pytest.mark.parametrize("cells", [2, 4])
-def test_embedding_row_of_the_wrong_width_is_an_internal_error(tmp_path, cells):
+@pytest.mark.parametrize("keys, message", [
+    ([0, 3], "key 3 outside 0..2"),
+    ([-1], "key -1 outside 0..2"),
+    ([2, 1], "key 1 out of order after key 2"),
+    ([1, 1], "key 1 out of order after key 1"),
+], ids=["past-width", "negative", "unsorted", "repeated"])
+def test_embedding_row_of_the_wrong_width_is_an_internal_error(tmp_path, keys, message):
     path = str(tmp_path / "emb.csv")
-    with pytest.raises(InternalCheckError, match=f"has {cells} cells, expected 3"):
-        io.write_embedding_csv(path, {}, ["a"], [np.ones(cells)], 3)
+    with pytest.raises(InternalCheckError, match=f"embedding row 'a': {message}"):
+        io.write_embedding_csv(path, {}, ["a"], [(np.array(keys), np.ones(len(keys)))], 3)
 
 
 def test_report_has_config_echo(tmp_path):

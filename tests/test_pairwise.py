@@ -96,9 +96,10 @@ def test_pair_copy_tables_key_both_images():
         stacked_image(x, m, copies, 0)  # one image's keys fit
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_overflowing_powers_are_precondition_errors():
-    # 7^2000 is beyond float range; the sums used to come back inf or nan
+    # 7^2000 is beyond float range; the sums used to come back inf or nan, and
+    # numpy's overflow warnings (errors here) used to come first
     a = SparseVector.from_pairs({0: 3.0, 1: 5.0}, 10)
     b = SparseVector.from_pairs({2: 1.0}, 10)
     c = SparseVector.from_pairs({1: 2.5, 4: 7.0}, 10)

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""sha256 digests of 23 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 24 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
 mode) and prints one `<sha256>  <label>` line per command. A wider
 40-vector dataset adds commands whose output moves when an exact-distance
-kernel's last bits do, and embeddings wider than 10^5 and 10^6 cells hash
-six- and seven-digit column names. The path-valued keys of each
-`# config:` line are dropped before hashing, so the digests do not depend
-on where the files live, and two checkouts compare with one diff:
+kernel's last bits do, embeddings wider than 10^5 and 10^6 cells hash
+six- and seven-digit column names, and an estimator of m = 15,000 buckets
+answers queries whose dense per-bucket dots would be longer than the
+10,000 elements above which OpenBLAS splits a dot across its threads. The
+path-valued keys of each `# config:` line are dropped before hashing, so
+the digests do not depend on where the files live, and two checkouts
+compare with one diff:
 
     python scripts/cli_digest.py > after.txt
     (cd ../other-checkout && python scripts/cli_digest.py) > before.txt
@@ -57,6 +60,8 @@ COMMANDS = {
                                      *CLUSTERS],
     "apps dist-est": ["apps", "dist-est", "--input", "DATA", "--queries", "QUERIES",
                       "--eps", "0.5"],
+    "apps dist-est m 15000": ["apps", "dist-est", "--input", "DATA", "--queries", "QUERIES",
+                              "--eps", "0.2"],
     "probe unif-stats": ["probe", "unif-stats", "--d", "50", "--t", "4", "--trials", "20"],
     "signed distort discrete": ["distort", "--input", "SIGNED", "--mode", "discrete",
                                 "--delta", "1", "--p", "1", "--eps", "0.5"],

@@ -6,12 +6,12 @@ sublinear distance-sum estimation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .embeddings import MaxHashMap, _scatter, landed_buckets, max_embed, require_cells
+from .embeddings import MaxHashMap, landed_buckets, max_embed, require_cells
 from .errors import ParseError, PatternBudgetError, PreconditionError
 from .hashing import HashSpec
 from .pairwise import lp_dists, pairwise_power_dists, stacked_image, stacked_power_sums
@@ -323,10 +323,14 @@ class DistanceEstimator:
     """Sublinear estimator of sum_x ||x - y||_p^p for even p.
 
     Per repetition j it stores, for every bucket i and exponent e <= p, the
-    dataset power sums sum_x f_j(x)_i^e (with 0^0 := 1, so the e = 0 slot
-    is the dataset size). A query expands sum_x ||f_j(x) - f_j(y)||_p^p
-    binomially from those sums, touching m * (p + 1) coefficients per
-    repetition, and returns the lower median over repetitions.
+    dataset power sums S_e = sum_x f_j(x)_i^e (with 0^0 := 1, so the e = 0
+    slot is the dataset size). A query expands sum_x ||f_j(x) - f_j(y)||_p^p
+    binomially as sum_i sum_k (-1)^k C(p, k) f_j(y)_i^k S_{p-k}. The k = 0
+    term, S_p summed over all buckets, does not depend on y and is kept per
+    repetition in `totals`; the k >= 1 terms vanish off the buckets y lands
+    in. So a query reads R totals and p cells per landed bucket
+    (`query_cells`), clamps each repetition's estimate at 0 and returns the
+    lower median over repetitions.
     """
 
     p: int
@@ -336,38 +340,48 @@ class DistanceEstimator:
     m: int
     power_sums: np.ndarray  # (R, m, p + 1); [..., e] = sum of e-th powers
     dim: int
+    totals: np.ndarray = field(init=False, compare=False, repr=False)  # (R,) k = 0 terms
+
+    def __post_init__(self):
+        # built and loaded estimators both take their totals from this one sum
+        object.__setattr__(self, "totals", self.power_sums[:, :, self.p].sum(axis=1))
 
     @property
     def n(self) -> int:
         return int(round(self.power_sums[0, 0, 0]))
 
-    @property
-    def last_query_ops(self) -> int:
-        """Coefficients a query touches: m * (p + 1) per repetition."""
-        return self.R * self.m * (self.p + 1)
-
     def map_for(self, rep: int) -> MaxHashMap:
         return MaxHashMap(HashSpec(self.seed, rep, self.m))
 
-    def query(self, y: SparseVector) -> float:
+    def _landed_cells(self, y: SparseVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """y's stacked image (keys rep * m + bucket, pooled values) and the
+        table cells S_0..S_{p-1} at each key, one row per key."""
         require_nonneg(y, what="distance estimation query")
         if y.dim != self.dim:
             raise PreconditionError(f"estimator built over dimension {self.dim}, got {y.dim}")
-        z = _scatter(*stacked_image(y, self.m, self.R, self.seed), self.R * self.m)
-        z = z.reshape(self.R, self.m)  # repetition r is copy r
-        estimates = np.empty(self.R)
-        binoms = [math.comb(self.p, k) for k in range(self.p + 1)]
-        for rep in range(self.R):
-            total = 0.0
-            zk = np.ones(self.m)  # z^0, with 0^0 = 1
-            for k in range(self.p + 1):
-                sign = -1.0 if k % 2 else 1.0
-                total += sign * binoms[k] * float(zk @ self.power_sums[rep, :, self.p - k])
-                if k < self.p:
-                    zk = zk * z[rep]
-            estimates[rep] = total
-        order = np.sort(estimates)
-        return float(order[(self.R - 1) // 2])
+        keys, z = stacked_image(y, self.m, self.R, self.seed)  # repetition r is copy r
+        cells = np.take(self.power_sums.reshape(self.R * self.m, self.p + 1), keys, axis=0)
+        return keys, z, cells[:, :self.p]
+
+    def query_cells(self, y: SparseVector) -> int:
+        """Table cells a query of y reads: the R totals plus p per key of
+        y's image, at most R * m * (p + 1)."""
+        return self.R + self._landed_cells(y)[2].size
+
+    def query(self, y: SparseVector) -> float:
+        keys, z, cells = self._landed_cells(y)
+        terms = np.zeros(len(keys))
+        zk = z
+        for k in range(1, self.p + 1):
+            sign = -1.0 if k % 2 else 1.0
+            terms += sign * math.comb(self.p, k) * zk * cells[:, self.p - k]
+            if k < self.p:
+                zk = zk * z
+        # bincount adds each repetition's terms in key order
+        sparse = np.bincount(keys // self.m, weights=terms, minlength=self.R)
+        # a sum of p-th powers; binomial cancellation can leave it just below 0
+        estimates = np.maximum(self.totals + sparse, 0.0)
+        return float(np.sort(estimates)[(self.R - 1) // 2])
 
     def to_json_dict(self) -> dict:
         tables = self.power_sums[:, :, ::-1]  # exponent e -> slot k = p - e

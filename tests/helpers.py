@@ -6,6 +6,7 @@ reusing the library's optimized paths, so tests cross two routes.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -92,6 +93,29 @@ def two_image_tables(x, y, m, T, seed, ps) -> dict:
     out["inf"] = np.zeros(T)
     np.maximum.at(out["inf"], keys // m, d)
     return out
+
+
+def dense_dot_query(est, y) -> tuple[float, float]:
+    """The estimator's query as (R, p + 1) dense dots: y's stacked image
+    scattered into an (R, m) row, sum_k (-1)^k C(p, k) (z^k . S_{p-k}) per
+    repetition, the lower median, no clamp. Also returns the largest
+    per-repetition sum of |terms|, the scale of either query's rounding."""
+    keys, v = stacked_image(y, est.m, est.R, est.seed)
+    z = np.zeros(est.R * est.m)
+    z[keys] = v
+    z = z.reshape(est.R, est.m)
+    estimates, scales = [], []
+    for rep in range(est.R):
+        total = scale = 0.0
+        zk = np.ones(est.m)  # z^0, with 0^0 = 1
+        for k in range(est.p + 1):
+            term = math.comb(est.p, k) * float(zk @ est.power_sums[rep, :, est.p - k])
+            total += -term if k % 2 else term
+            scale += term  # z and S are non-negative, so is every term
+            zk = zk * z[rep]
+        estimates.append(total)
+        scales.append(scale)
+    return sorted(estimates)[(est.R - 1) // 2], max(scales)
 
 
 def cell_by_cell(row) -> str:

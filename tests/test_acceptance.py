@@ -54,6 +54,7 @@ from sparse_sketch.datagen import (
 from sparse_sketch.embeddings import (
     StackedEmbedding,
     estimate_sum_norm,
+    landed_buckets,
     plan_params,
     stack_embed,
 )
@@ -486,19 +487,25 @@ def test_13_distance_estimator():
     est = build_estimator(data, p=4, eps=0.25, seed=1323)
     assert est.R == 43 and est.m == 16000
     rng = np.random.default_rng(1333)
+    bound = est.R * est.m * (est.p + 1)
     good = 0
     ops_ok = True
+    most_cells = 0
     for _ in range(100):
         y = random_nonneg_vector(5, 10**4, rng)
         direct = direct_distance_sum(data, y, 4)
         answer = est.query(y)
-        ops_ok = ops_ok and est.last_query_ops == est.R * est.m * (est.p + 1)
+        # R totals plus p cells per bucket y lands in, over all repetitions
+        landed = sum(len(landed_buckets(est.map_for(rep), y)[0]) for rep in range(est.R))
+        cells = est.query_cells(y)
+        ops_ok = ops_ok and cells == est.R + est.p * landed <= bound
+        most_cells = max(most_cells, cells)
         good += abs(answer - direct) <= 0.25 * direct
     elapsed = time.time() - started
     ok = good >= 95 and ops_ok and elapsed < 60.0
     report(13, ok, f"{good}/100 queries within 1+-0.25 of the direct sum; "
-                   f"every query touched R*m*(p+1) = {est.R * est.m * (est.p + 1)} "
-                   f"coefficients, {elapsed:.0f}s")
+                   f"every query read R + p*(landed buckets) cells, at most {most_cells}, "
+                   f"within R*m*(p+1) = {bound}, {elapsed:.0f}s")
     assert good >= 95
     assert ops_ok
     assert elapsed < 60.0

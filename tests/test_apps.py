@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparse_sketch
 from sparse_sketch.apps import (
     Clustering,
     DistanceEstimator,
@@ -23,7 +28,7 @@ from sparse_sketch.apps import (
     two_partitions,
 )
 from sparse_sketch.datagen import random_nonneg_dataset
-from sparse_sketch.embeddings import landed_buckets, max_embed
+from sparse_sketch.embeddings import landed_buckets
 from sparse_sketch.errors import (
     NonNegativeRequired,
     ParseError,
@@ -32,7 +37,7 @@ from sparse_sketch.errors import (
 )
 from sparse_sketch.vectors import INF, Dataset, SparseVector, lp_dist
 
-from helpers import dense
+from helpers import dense, dense_dot_query
 
 
 def sv(pairs, d=100):
@@ -402,10 +407,13 @@ def test_estimator_repetition_count_and_width():
 
 
 def test_estimator_query_op_count():
+    # R totals plus p cells per landed bucket, counted here one repetition
+    # at a time; the bound R * m * (p + 1) does not grow with n
     data = random_nonneg_dataset(20, 3, 1000, seed=20)
     est = build_estimator(data, p=2, eps=0.5, seed=6)
-    est.query(data.vectors[0])
-    assert est.last_query_ops == est.R * est.m * (est.p + 1)
+    for y in (*data.vectors[:5], SparseVector.zero(1000)):
+        landed = sum(len(landed_buckets(est.map_for(rep), y)[0]) for rep in range(est.R))
+        assert est.query_cells(y) == est.R + est.p * landed <= est.R * est.m * (est.p + 1)
 
 
 def test_estimator_lower_median_rule():
@@ -431,8 +439,9 @@ def test_estimator_lower_median_rule():
 def per_copy_estimator(est, data):
     """Tables and per-rep query estimates built one repetition at a time from
     ``landed_buckets``, adding the vectors in order, with repeated
-    multiplication for the powers; returns the tables, the query function
-    and the number of images in which two coordinates collided."""
+    multiplication for the powers; returns the tables, the per-repetition
+    estimates before the clamp at 0, the query and the number of images in
+    which two coordinates collided."""
     tables = np.zeros((est.R, est.m, est.p + 1))
     tables[:, :, 0] = float(len(data))
     collided = 0
@@ -446,18 +455,33 @@ def per_copy_estimator(est, data):
                 if e < est.p:
                     ve = ve * v
 
-    def query(y):
-        per_rep = []
+    def per_rep(y):
+        # the k = 0 term over all buckets, then the k >= 1 terms of each
+        # landed bucket added one by one in bucket order
+        out = []
         for rep in range(est.R):
-            z, zk, total = max_embed(est.map_for(rep), y), np.ones(est.m), 0.0
-            for k in range(est.p + 1):
-                total += (-1.0 if k % 2 else 1.0) * math.comb(est.p, k) * float(
-                    zk @ tables[rep, :, est.p - k])
+            b, z = landed_buckets(est.map_for(rep), y)
+            terms, zk = np.zeros(len(b)), z
+            for k in range(1, est.p + 1):
+                terms += (-1.0 if k % 2 else 1.0) * math.comb(est.p, k) * zk * tables[rep, b, est.p - k]
                 zk = zk * z
-            per_rep.append(total)
-        return sorted(per_rep)[(est.R - 1) // 2]
+            landed = 0.0
+            for term in terms.tolist():
+                landed += term
+            out.append(float(tables[rep, :, est.p].sum()) + landed)
+        return out
 
-    return tables, query, collided
+    def query(y):
+        return sorted(max(e, 0.0) for e in per_rep(y))[(est.R - 1) // 2]
+
+    return tables, per_rep, query, collided
+
+
+# Per query, an allowance of (p + 2) roundings of the largest per-repetition
+# sum of |terms|: k - 1 products form z^k, two scale it, one adds it. The
+# sparse and the dense query each get one; both stay under 0.35 of one here
+# and at the criterion-13 shape.
+_ROUNDINGS = 2
 
 
 @pytest.mark.parametrize("p", [2, 4, 6])
@@ -468,11 +492,54 @@ def test_estimator_equals_the_per_copy_build(p, n, s, d, eps):
     # where the order of the additions shows in the last bits
     data = random_nonneg_dataset(n, s, d, seed=40 + p)
     est = build_estimator(data, p=p, eps=eps, seed=p)
-    tables, query, collided = per_copy_estimator(est, data)
+    tables, _, query, collided = per_copy_estimator(est, data)
     assert (est.power_sums == tables).all()
     assert n == 1 or collided > 0
     for y in random_nonneg_dataset(5, s, d, seed=50 + p).vectors + data.vectors[:2]:
-        assert est.query(y) == query(y)
+        answer = est.query(y)
+        assert answer == query(y)
+        # the dense dots sum in another order; each query stays within its
+        # rounding allowance of the exact value
+        dense_answer, scale = dense_dot_query(est, y)
+        assert abs(answer - dense_answer) <= _ROUNDINGS * (p + 2) * 2.0 ** -52 * scale
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+def test_estimator_clamps_a_cancelled_self_query_to_zero(p):
+    # eight coordinates in one vector: the binomial terms of its own query
+    # cancel to a few units in the last place below 0 in every repetition
+    data = random_nonneg_dataset(1, 8, 100, seed=0)
+    est = build_estimator(data, p=p, eps=0.5, seed=p)
+    _, per_rep, _, _ = per_copy_estimator(est, data)
+    y = data.vectors[0]
+    assert sorted(per_rep(y))[(est.R - 1) // 2] < 0.0
+    assert est.query(y) == 0.0
+
+
+_THREADS_PROBE = """
+from sparse_sketch.apps import build_estimator
+from sparse_sketch.datagen import random_nonneg_dataset
+est = build_estimator(random_nonneg_dataset(200, 5, 10**4, seed=1313), p=4, eps=0.25, seed=1323)
+assert est.m > 10**4
+queries = random_nonneg_dataset(20, 5, 10**4, seed=1333).vectors
+print(" ".join(est.query(y).hex() for y in queries))
+"""
+
+
+def test_estimator_answers_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot longer than 10^4 across its threads, which moves
+    # the last bits of a dense-dot query; the sparse query makes no BLAS call
+    src = str(Path(sparse_sketch.__file__).resolve().parents[1])
+    answers = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        answers.append(out.stdout.split())
+    assert len(answers[0]) == 20
+    assert answers[0] == answers[1]
 
 
 def test_estimator_serialization_round_trip():
@@ -481,8 +548,9 @@ def test_estimator_serialization_round_trip():
     blob = json.dumps(est.to_json_dict())
     back = DistanceEstimator.from_json_dict(json.loads(blob))
     assert back.n == len(data) and back.dim == 300
-    y = data.vectors[1]
-    assert back.query(y) == pytest.approx(est.query(y), rel=1e-12)
+    assert (back.totals == est.totals).all()
+    for y in data.vectors + random_nonneg_dataset(4, 2, 300, seed=24).vectors:
+        assert back.query(y) == est.query(y)
     with pytest.raises(PreconditionError):
         back.query(sv({0: 1.0}, d=10**6))
     without_dim = {k: v for k, v in json.loads(blob).items() if k != "dim"}

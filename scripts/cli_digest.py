@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""sha256 digests of 24 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 25 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
 mode) and prints one `<sha256>  <label>` line per command. A wider
 40-vector dataset adds commands whose output moves when an exact-distance
-kernel's last bits do, embeddings wider than 10^5 and 10^6 cells hash
-six- and seven-digit column names, and an estimator of m = 15,000 buckets
+kernel's last bits do, and a p = inf `distort` of it into 20 buckets over
+three hashing blocks, where most keys are shared. Embeddings wider than
+10^5 and 10^6 cells hash six- and seven-digit column names, and an estimator of m = 15,000 buckets
 answers queries whose dense per-bucket dots would be longer than the
 10,000 elements above which OpenBLAS splits a dot across its threads. The
 path-valued keys of each `# config:` line are dropped before hashing, so
@@ -71,6 +72,7 @@ COMMANDS = {
                               "--delta", "1", "--p", "1", "--eps", "0.9"],
     "wide distort p 2": ["distort", "--input", "WIDE", "--p", "2"],
     "wide distort p 3": ["distort", "--input", "WIDE", "--p", "3"],
+    "wide distort p inf": ["distort", "--input", "WIDE", "--p", "inf", "--m", "20", "--T", "150"],
     "wide cluster-cost means p 4": ["apps", "cluster-cost", "--input", "WIDE", "--p", "4",
                                     "--objective", "means", *WIDE_CLUSTERS],
     "embed width 120000": ["embed", "--input", "DATA", "--m", "20000", "--T", "6",

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .vectors import (
     Dataset,
     SparseVector,
     _check_p,
+    _read_only,
     require_nonneg,
 )
 
@@ -129,13 +130,6 @@ def diameter_l1(dataset: Dataset, s: int, seed: int, k: int | None = None) -> fl
 
 # ---------------------------------------------------------------------------
 # max-cut
-
-
-def cut_value(powers: np.ndarray, mask: int) -> float:
-    """Value of the bipartition encoded by mask bits over a pair-power matrix."""
-    n = powers.shape[0]
-    side = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-    return float(powers[np.ix_(side, ~side)].sum())
 
 
 def maxcut_from_pair_powers(powers: np.ndarray) -> tuple[float, int]:
@@ -307,13 +301,6 @@ def clustering_cost(dataset: Dataset, clustering: Clustering, centers: str = "ba
     return float(sum(per_cluster))
 
 
-def two_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All assignments of n items into exactly 2 non-empty clusters, item 0
-    pinned to cluster 0 (so each partition appears once)."""
-    for code in range(1, 1 << (n - 1)):
-        yield tuple(0 if i == 0 else (code >> (i - 1)) & 1 for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # distance estimation
 
@@ -343,8 +330,9 @@ class DistanceEstimator:
     totals: np.ndarray = field(init=False, compare=False, repr=False)  # (R,) k = 0 terms
 
     def __post_init__(self):
-        # built and loaded estimators both take their totals from this one sum
-        object.__setattr__(self, "totals", self.power_sums[:, :, self.p].sum(axis=1))
+        # built and loaded estimators share this one sum; read-only, so it cannot go stale
+        object.__setattr__(self, "power_sums", _read_only(self.power_sums))
+        object.__setattr__(self, "totals", _read_only(self.power_sums[:, :, self.p].sum(axis=1)))
 
     @property
     def n(self) -> int:

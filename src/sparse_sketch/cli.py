@@ -35,7 +35,6 @@ from .embeddings import (
     EmbedParams,
     StackedEmbedding,
     birthday_embed,
-    estimate_distance,
     plan_params,
     require_cells,
     stack_embed,
@@ -48,7 +47,7 @@ from .errors import (
     SketchError,
 )
 from .hashing import HashSpec, derive_seed
-from .pairwise import lp_dists, stacked_image, stacked_power_sums
+from .pairwise import lp_dists, stacked_image, stacked_linf, stacked_power_sums
 from .probes import (
     DenseLinearMap,
     UnifSpec,
@@ -113,18 +112,12 @@ def cmd_embed(args) -> int:
 
 def _embedded_dists(vecs, params, seed, p, base=None) -> np.ndarray:
     """(n, n) matrix of `estimate_distance` under StackedEmbedding(params,
-    seed): one engine call for finite p (`base` as in `stacked_power_sums`),
-    the per-pair path for p = inf."""
-    if p != INF:
-        sums = stacked_power_sums(vecs, params.m, params.T, seed, [p], base=base)
-        return (sums[float(p)] / params.T) ** (1.0 / p)
-    stack = StackedEmbedding(params, seed)
-    n = len(vecs)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = estimate_distance(stack, vecs[i], vecs[j], p)
-    return out
+    seed), from one all-pairs kernel call: `stacked_linf` for p = inf,
+    `stacked_power_sums` (`base` as there) for finite p."""
+    if p == INF:
+        return stacked_linf(vecs, params.m, params.T, seed)
+    sums = stacked_power_sums(vecs, params.m, params.T, seed, [p], base=base)
+    return (sums[float(p)] / params.T) ** (1.0 / p)
 
 
 def _distort_pairs(args, dataset, params, seed):

@@ -10,7 +10,9 @@ Two pooling rules over the same bucket hash:
 Every max pool runs one kernel, ``pairwise._max_pool_keys``: it is
 ``landed_buckets`` (the sparse image of one copy) and ``max_pool`` scatters
 it into a dense row. ``pairwise.stacked_image`` is the one stacking
-function; ``stack_embed`` scatters it into a dense row.
+function; ``stack_embed`` scatters it into a dense row, and
+``estimate_distance`` merges two images: the per-pair definition of what
+``pairwise.stacked_linf`` and ``stacked_power_sums`` give for all pairs.
 
 A ``StackedEmbedding`` concatenates independent max-pool copies; the
 parameter planner turns (mode, sparsity, dataset size, accuracy) into a
@@ -27,8 +29,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import EmbeddingMismatch, ParseError, PreconditionError
-from .hashing import HashSpec, bucket_array
-from .pairwise import _max_pool_keys, pair_copy_tables, stacked_image
+from .hashing import HashSpec, bucket_grid
+from .pairwise import _max_pool_keys, stacked_image
 from .vectors import INF, SparseVector, _check_p, require_nonneg
 
 MODES = ("all-p", "linf-exact", "sum-linf", "discrete")
@@ -78,8 +80,9 @@ class BirthdayMap:
 
 
 def birthday_embed(bmap: BirthdayMap, x: SparseVector) -> np.ndarray:
-    buckets = bucket_array(bmap.spec, np.asarray(x.indices, dtype=np.uint64))
-    return sum_pool(buckets, x.values, bmap.spec.m)
+    spec = bmap.spec
+    buckets = bucket_grid(spec.seed, 1, x.indices, spec.m, start=spec.copy_index)[0]
+    return sum_pool(buckets, x.values, spec.m)
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,8 @@ class MaxHashMap:
 
 def landed_buckets(mmap: MaxHashMap, x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
     """Sparse image of x: sorted unique buckets and their pooled maxima."""
-    buckets = bucket_array(mmap.spec, np.asarray(x.indices, dtype=np.uint64))
+    spec = mmap.spec
+    buckets = bucket_grid(spec.seed, 1, x.indices, spec.m, start=spec.copy_index)[0]
     return _max_pool_keys(buckets, np.asarray(x.values, dtype=np.float64))
 
 
@@ -252,12 +256,12 @@ def estimate_distance(stack: StackedEmbedding, x: SparseVector, y: SparseVector,
     p = _check_p(p)
     if x.dim != y.dim:
         raise EmbeddingMismatch(f"ambient dimensions differ: {x.dim} vs {y.dim}")
+    (kx, vx), (ky, vy) = (stacked_image(v, stack.m, stack.T, stack.seed) for v in (x, y))
+    keys, inv = np.unique(np.concatenate([kx, ky]), return_inverse=True)
+    d = np.abs(np.bincount(inv, weights=np.concatenate([vx, -vy]), minlength=len(keys)))
     if p == INF:
-        per_copy = pair_copy_tables(x, y, stack.m, stack.T, stack.seed, with_linf=True)["inf"]
-        return float(per_copy.max(initial=0.0))
-    tables = pair_copy_tables(x, y, stack.m, stack.T, stack.seed, ps=(p,))
-    total = float(tables[p].sum())
-    return (total / stack.T) ** (1.0 / p)
+        return float(d.max(initial=0.0))
+    return float((np.sum(d ** p) / stack.T) ** (1.0 / p))
 
 
 def estimate_distance_embedded(params: EmbedParams, seed_a: int, ea: np.ndarray,

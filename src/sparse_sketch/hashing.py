@@ -76,13 +76,6 @@ def hash_bucket(spec: HashSpec, j: int) -> int:
     return mix64(spec.key() ^ (j & _MASK64)) % spec.m
 
 
-def bucket_array(spec: HashSpec, indices: np.ndarray) -> np.ndarray:
-    """Vectorized hash_bucket over an index array; returns int64 buckets."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    h = _mix64_u64(np.uint64(spec.key()) ^ idx)
-    return (h % np.uint64(spec.m)).astype(np.int64)
-
-
 def bucket_grid(seed: int, copies: int, indices: np.ndarray, m: int,
                 start: int = 0) -> np.ndarray:
     """Buckets for `indices` under copy_index start..start+copies-1; shape

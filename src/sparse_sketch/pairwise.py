@@ -14,22 +14,25 @@ scalar definition that the tests and the benchmark check against.
 keys, the max of the values on each), and ``_pool_grid`` the one place that
 turns a grid of buckets into keys copy * m + bucket for it. ``stacked_image``
 is the one map of a vector into stacked copies: one ``bucket_grid`` and one
-``_pool_grid``. ``embeddings.stack_embed`` scatters it into a dense row, and
-the distance estimator's R repetitions are its R copies.
+``_pool_grid``. ``embeddings.stack_embed`` scatters it into a dense row,
+``embeddings.estimate_distance`` merges the images of one pair, and the
+distance estimator's R repetitions are its R copies.
 ``embeddings.landed_buckets`` is the single-copy image.
 
-Two evaluation strategies, both exact (up to float roundoff) and
-cross-checked against the dense definition in the test suite:
+Two all-pairs kernels evaluate a dataset's embedded distances, each
+cross-checked in the test suite against the per-copy definition:
 
-* ``pair_copy_tables``: merges the stacked images of one pair, key by key,
-  into |f_c(x) - f_c(y)| (an absent side counts as 0). Both images come from
-  one ``bucket_grid`` and one ``_pool_grid``, y's keys shifted up by
-  copies * m. Memory O(T * union).
-  Also gives the per-copy max-norm distances, which nothing else computes.
-* ``stacked_power_sums``: all pairs of a dataset at once, for finite p. A
-  copy without collisions contributes exactly the true distance, so the
-  T-fold sum is T * D plus corrections at the (copy, bucket) groups that
-  receive two or more distinct coordinates. The copies are hashed
+* ``stacked_linf``: p = inf. A pair's estimate is the max of |a_u - a_v|
+  over the keys both stacked images hold and of each side's largest |a|
+  at a key the other lacks. Per block of ``_BLOCK`` copies the images are
+  pooled per (key, vector); ``_run_pairs`` gives the owner pairs of every
+  shared key, and u's largest |a| that v lacks sits at the first of u's
+  |a|-ranks the pair does not share. A max decomposes over blocks, so the
+  blocking is exact.
+* ``stacked_power_sums``: finite p. A copy without collisions contributes
+  exactly the true distance, so the T-fold sum is T * D plus corrections
+  at the (copy, bucket) groups that receive two or more distinct
+  coordinates. The copies are hashed
   ``_BLOCK`` at a time; a row sort flags the copies with a shared bucket
   and only those are argsorted into groups. Each group member is expanded
   to its (group, owner vector, value) entries, and three corrections are
@@ -71,8 +74,8 @@ _CHUNK = 1 << 16  # cells per chunk of lp_dists
 
 def require_hashes(copies: int, m: int, coords: int) -> None:
     """ValueError unless copy * m + bucket keys fit in int64, and
-    PreconditionError unless copies x coords (at least 1 per copy, the size
-    of the per-copy outputs) fits in HASH_BUDGET; checked before hashing."""
+    PreconditionError unless copies x max(1, coords) fits in HASH_BUDGET (the
+    copy loops run even without coordinates); checked before hashing."""
     if copies * m >= _POS_LIMIT:
         raise ValueError("copies * m too large to key")
     if copies * max(1, coords) > HASH_BUDGET:
@@ -95,41 +98,6 @@ def _pool_grid(grid: np.ndarray, values, m: int) -> tuple[np.ndarray, np.ndarray
     keys = np.arange(grid.shape[0], dtype=np.int64)[:, None] * m + grid
     return _max_pool_keys(keys.ravel(),
                           np.tile(np.asarray(values, dtype=np.float64), grid.shape[0]))
-
-
-def pair_copy_tables(
-    x: SparseVector,
-    y: SparseVector,
-    m: int,
-    copies: int,
-    seed: int,
-    ps: Sequence[float] = (),
-    with_linf: bool = False,
-) -> dict:
-    """Per-copy distances between the images of x and y.
-
-    Returns {p: array of length `copies` holding ||f_c(x) - f_c(y)||_p^p}
-    plus key "inf" (per-copy max-norm distances) when requested.
-    """
-    shift = copies * m
-    require_hashes(copies, 2 * m, len(set(x.indices) | set(y.indices)))  # keys below 2 * shift
-    # one grid for both images, y's buckets shifted up by copies * m so that
-    # its keys pool apart from x's and sort after them
-    grid = bucket_grid(seed, copies, np.asarray(x.indices + y.indices, dtype=np.uint64), m)
-    grid[:, x.sparsity:] += shift
-    pooled, vals = _pool_grid(grid, x.values + y.values, m)
-    y_side = pooled >= shift
-    # 0.0 + x - y per key, x's entry first; an absent side counts as 0
-    keys, inv = np.unique(pooled - shift * y_side, return_inverse=True)
-    d = np.abs(np.bincount(inv, weights=np.where(y_side, -vals, vals), minlength=len(keys)))
-    seg_copy = keys // m
-    out: dict = {p: np.zeros(copies) for p in ps}  # np.bincount of nothing is int64
-    for p in ps:
-        out[p] += np.bincount(seg_copy, weights=d ** float(p), minlength=copies)
-    if with_linf:
-        out["inf"] = np.zeros(copies)
-        np.maximum.at(out["inf"], seg_copy, d)
-    return out
 
 
 def lp_dists(xs: Sequence[SparseVector], ys: Sequence[SparseVector], p) -> np.ndarray:
@@ -334,3 +302,49 @@ def stacked_power_sums(
         np.fill_diagonal(t, 0.0)
         np.maximum(t, 0.0, out=t)  # a sum of powers; drops negative roundoff
     return _require_finite(totals)
+
+
+def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int) -> np.ndarray:
+    """(n, n) matrix of max_c ||f_c(x_i) - f_c(x_j)||_inf for all pairs: the
+    largest |a_u - a_v| over the keys of two stacked images (absent = 0)."""
+    n = len(vectors)
+    distinct, owner, value, _, counts = _ownership(vectors)
+    require_hashes(copies, m, len(distinct))
+    coord = np.repeat(np.arange(len(distinct)), counts)
+    out = np.zeros((n, n))  # out[u, v]: the pair's max so far, seen from u
+    for start in range(0, copies, _BLOCK):
+        grid = bucket_grid(seed, min(_BLOCK, copies - start), distinct, m, start=start)
+        # the block's images pooled per (key, vector), in that order
+        kid = np.unique(np.arange(len(grid))[:, None] * m + grid[:, coord],
+                        return_inverse=True)[1].ravel()
+        pooled, val = _max_pool_keys(kid * n + np.tile(owner, len(grid)),
+                                     np.tile(value, len(grid)))
+        kid, vec = np.divmod(pooled, n)
+        # each vector's entries ranked by |a|, largest first; slot len(val) reads 0
+        order = np.lexsort((-np.abs(val), vec))
+        ranked = np.append(np.abs(val[order]), 0.0)
+        sizes = np.bincount(vec, minlength=n)
+        first = np.cumsum(sizes) - sizes
+        rank = np.argsort(order) - first[vec]
+        # the owner pairs of each shared key, the lower vector first
+        a, b = _run_pairs(np.diff(_run_starts(kid), append=len(kid)))
+        np.maximum.at(out, (vec[a], vec[b]), np.abs(val[a] - val[b]))
+        # u's largest |a| at a key v lacks sits at the first rank that u does
+        # not share with v: the length of the run 0, 1, 2, ... of shared ranks
+        scale = int(sizes.max(initial=1))
+        key = np.concatenate([(vec[a] * n + vec[b]) * scale + rank[a],
+                              (vec[b] * n + vec[a]) * scale + rank[b]])
+        key.sort()
+        starts = _run_starts(key // scale)
+        pu, pv = np.divmod(key[starts] // scale, n)
+        key %= scale
+        key -= np.arange(len(key))  # rank - position: -start along a leading run
+        lead = key == np.repeat(-starts, np.diff(starts, append=len(key)))
+        run = np.add.reduceat(lead, starts, dtype=np.int64)
+        # a pair that shares no key reads u's largest |a|; the others are restored
+        kept = out[pu, pv]
+        np.maximum(out, ranked[np.where(sizes > 0, first, len(val))][:, None], out=out)
+        out[pu, pv] = np.maximum(kept, ranked[np.where(run < sizes[pu], first[pu] + run, len(val))])
+    out = np.maximum(out, out.T)
+    np.fill_diagonal(out, 0.0)
+    return out

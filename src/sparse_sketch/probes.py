@@ -21,8 +21,8 @@ from .errors import (
     PreconditionError,
     PreconditionShape,
 )
-from .hashing import HashSpec, bucket_array, derive_seed
-from .vectors import INF, SparseVector, _check_p, _dense_norm
+from .hashing import HashSpec, bucket_grid, derive_seed
+from .vectors import INF, SparseVector, _check_p, _dense_norm, _read_only
 
 _EXACT_RTOL = 1e-9
 _SUPPORT_DENSE_BUDGET = 20_000_000
@@ -40,7 +40,7 @@ class DenseLinearMap:
             raise ValueError("matrix must be 2-D and non-empty")
         if not np.isfinite(mat).all():
             raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _read_only(mat))
 
     @property
     def rows(self) -> int:
@@ -229,7 +229,7 @@ def find_linf_violation(lin_map: DenseLinearMap) -> SparseVector:
 def birthday_matrix(spec: HashSpec, d: int) -> DenseLinearMap:
     """The hash-and-sum map as an explicit m x d matrix (column j has a
     single 1 in row h(j))."""
-    buckets = bucket_array(spec, np.arange(d, dtype=np.uint64))
+    buckets = bucket_grid(spec.seed, 1, np.arange(d), spec.m, start=spec.copy_index)[0]
     mat = np.zeros((spec.m, d))
     mat[buckets, np.arange(d)] = 1.0
     return DenseLinearMap(mat)

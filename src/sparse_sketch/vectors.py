@@ -57,6 +57,13 @@ def _dense_norm(arr: np.ndarray, p) -> float:
     return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr, for the array fields of frozen types; no copy."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class SparseVector:
     """Sorted sparse (index, value) pairs with ambient dimension `dim`.

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from sparse_sketch.embeddings import EmbedParams, StackedEmbedding
-from sparse_sketch.hashing import HashSpec, hash_bucket
+from sparse_sketch.hashing import HashSpec, bucket_grid, hash_bucket
 from sparse_sketch.io import config_line
-from sparse_sketch.pairwise import stacked_image
+from sparse_sketch.pairwise import _pool_grid, require_hashes, stacked_image
 from sparse_sketch.vectors import INF, SparseVector
 
 
@@ -70,6 +71,20 @@ def naive_stack_linf(x, y, m, T, seed) -> float:
     return max(copy_diffs(x, y, m, T, seed), default=0.0)
 
 
+def cut_value(powers: np.ndarray, mask: int) -> float:
+    """Value of the bipartition encoded by mask bits over a pair-power matrix."""
+    n = powers.shape[0]
+    side = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+    return float(powers[np.ix_(side, ~side)].sum())
+
+
+def two_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """All assignments of n items into exactly 2 non-empty clusters, item 0
+    pinned to cluster 0 (so each partition appears once)."""
+    for code in range(1, 1 << (n - 1)):
+        yield tuple(0 if i == 0 else (code >> (i - 1)) & 1 for i in range(n))
+
+
 def random_sparse(rng, d, s, signed=False, delta=3) -> SparseVector:
     s = min(s, d)
     if s == 0:
@@ -80,6 +95,41 @@ def random_sparse(rng, d, s, signed=False, delta=3) -> SparseVector:
     else:
         vals = 1.0 - rng.random(s)
     return SparseVector.from_pairs(zip(sup.tolist(), vals.tolist()), d)
+
+
+def pair_copy_tables(
+    x: SparseVector,
+    y: SparseVector,
+    m: int,
+    copies: int,
+    seed: int,
+    ps: Sequence[float] = (),
+    with_linf: bool = False,
+) -> dict:
+    """Per-copy distances between the images of x and y.
+
+    Returns {p: array of length `copies` holding ||f_c(x) - f_c(y)||_p^p}
+    plus key "inf" (per-copy max-norm distances) when requested.
+    """
+    shift = copies * m
+    require_hashes(copies, 2 * m, len(set(x.indices) | set(y.indices)))  # keys below 2 * shift
+    # one grid for both images, y's buckets shifted up by copies * m so that
+    # its keys pool apart from x's and sort after them
+    grid = bucket_grid(seed, copies, np.asarray(x.indices + y.indices, dtype=np.uint64), m)
+    grid[:, x.sparsity:] += shift
+    pooled, vals = _pool_grid(grid, x.values + y.values, m)
+    y_side = pooled >= shift
+    # 0.0 + x - y per key, x's entry first; an absent side counts as 0
+    keys, inv = np.unique(pooled - shift * y_side, return_inverse=True)
+    d = np.abs(np.bincount(inv, weights=np.where(y_side, -vals, vals), minlength=len(keys)))
+    seg_copy = keys // m
+    out: dict = {p: np.zeros(copies) for p in ps}  # np.bincount of nothing is int64
+    for p in ps:
+        out[p] += np.bincount(seg_copy, weights=d ** float(p), minlength=copies)
+    if with_linf:
+        out["inf"] = np.zeros(copies)
+        np.maximum.at(out["inf"], seg_copy, d)
+    return out
 
 
 def two_image_tables(x, y, m, T, seed, ps) -> dict:

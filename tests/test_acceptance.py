@@ -35,7 +35,6 @@ from sparse_sketch.apps import (
     build_estimator,
     clustering_cost,
     clustering_cost_from_pair_dists,
-    cut_value,
     diameter_exact,
     diameter_l1,
     diameter_linf_stream,
@@ -43,7 +42,6 @@ from sparse_sketch.apps import (
     maxcut_brute,
     maxcut_from_pair_powers,
     sketched_pair_powers,
-    two_partitions,
 )
 from sparse_sketch.cli import main as cli_main
 from sparse_sketch.datagen import (
@@ -58,12 +56,8 @@ from sparse_sketch.embeddings import (
     plan_params,
     stack_embed,
 )
-from sparse_sketch.hashing import HashSpec, bucket_array, bucket_grid, derive_seed
-from sparse_sketch.pairwise import (
-    pair_copy_tables,
-    pairwise_power_dists,
-    stacked_power_sums,
-)
+from sparse_sketch.hashing import HashSpec, bucket_grid, derive_seed
+from sparse_sketch.pairwise import pairwise_power_dists, stacked_power_sums
 from sparse_sketch.probes import (
     DenseLinearMap,
     UnifSpec,
@@ -74,7 +68,7 @@ from sparse_sketch.probes import (
 )
 from sparse_sketch.vectors import INF, SparseVector, lp_dist, lp_norm, sum_vectors
 
-from helpers import stack_of
+from helpers import cut_value, pair_copy_tables, stack_of, two_partitions
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -370,8 +364,7 @@ def test_10_diameter_sketches():
         over += (vinf > exact_inf + 1e-9) + (vone > exact_one + 1e-9)
         eq_inf += vinf == exact_inf
         equal = abs(vone - exact_one) <= 1e-9 * exact_one
-        spec = HashSpec(seed, 0, k)
-        free = any(len(np.unique(bucket_array(spec, u))) == len(u) for u in witnesses)
+        free = any(len(np.unique(bucket_grid(seed, 1, u, k)[0])) == len(u) for u in witnesses)
         eq_one += equal
         collision_free += free
         disagree += equal != free

@@ -15,7 +15,6 @@ from sparse_sketch.apps import (
     build_estimator,
     clustering_cost,
     clustering_cost_from_pair_dists,
-    cut_value,
     diameter_exact,
     diameter_l1,
     diameter_linf_stream,
@@ -25,7 +24,6 @@ from sparse_sketch.apps import (
     maxcut_sketched,
     max_sign_range,
     sketched_pair_powers,
-    two_partitions,
 )
 from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.embeddings import landed_buckets
@@ -37,7 +35,7 @@ from sparse_sketch.errors import (
 )
 from sparse_sketch.vectors import INF, Dataset, SparseVector, lp_dist
 
-from helpers import dense, dense_dot_query
+from helpers import cut_value, dense, dense_dot_query, two_partitions
 
 
 def sv(pairs, d=100):
@@ -567,3 +565,16 @@ def test_estimator_rejects_bad_inputs():
         est.query(sv({0: -1.0}))
     with pytest.raises(PreconditionError):
         est.query(sv({0: 1.0}, d=101))
+
+
+def test_estimator_tables_are_read_only():
+    # writing the tables would leave the totals stale and the answers unchanged
+    data = random_nonneg_dataset(6, 2, 300, seed=22)
+    est = build_estimator(data, p=2, eps=0.6, seed=8)
+    queries = data.vectors + random_nonneg_dataset(4, 2, 300, seed=24).vectors
+    before = [est.query(y) for y in queries]
+    with pytest.raises(ValueError, match="read-only"):
+        est.power_sums[:, :, est.p] *= 2
+    with pytest.raises(ValueError, match="read-only"):
+        est.totals[0] = 0.0
+    assert [est.query(y) for y in queries] == before

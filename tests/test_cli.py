@@ -162,7 +162,10 @@ def test_distort_embedded_matches_estimate_distance(tmp_path, p):
             continue
         a, b = r[0].split("|")
         expect = estimate_distance(stack, vecs[a], vecs[b], _parse_p(p))
-        assert float(r[3]) == pytest.approx(expect, rel=1e-12, abs=1e-300)
+        if p == "inf":  # a max of the same float differences
+            assert float(r[3]) == expect
+        else:  # sums of the engine's corrections and of one pair's keys differ in the last bits
+            assert float(r[3]) == pytest.approx(expect, rel=1e-12, abs=1e-300)
         checked += 1
     assert checked == 28
 
@@ -632,5 +635,5 @@ def test_cli_digest_script_prints_one_digest_per_command():
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 24
+    assert len(lines) == 25
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

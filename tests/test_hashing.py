@@ -6,7 +6,6 @@ import pytest
 
 from sparse_sketch.hashing import (
     HashSpec,
-    bucket_array,
     bucket_grid,
     derive_seed,
     hash_bucket,
@@ -35,8 +34,8 @@ def test_scalar_and_vector_paths_agree():
     spec = HashSpec(seed=321, copy_index=4, m=101)
     idx = np.array([0, 3, 2**62 - 1, 777, 10**12], dtype=np.uint64)
     scalar = [hash_bucket(spec, int(j)) for j in idx]
-    assert scalar == bucket_array(spec, idx).tolist()
     assert scalar == bucket_grid(321, 5, idx, 101)[4].tolist()
+    assert scalar == bucket_grid(321, 1, idx, 101, start=4)[0].tolist()
 
 
 def test_grid_rows_match_per_copy_specs():
@@ -44,14 +43,13 @@ def test_grid_rows_match_per_copy_specs():
     grid = bucket_grid(777, 3, idx, 13)
     for c in range(3):
         spec = HashSpec(seed=777, copy_index=c, m=13)
-        assert grid[c].tolist() == bucket_array(spec, idx).tolist()
+        assert grid[c].tolist() == [hash_bucket(spec, int(j)) for j in idx]
 
 
 def test_buckets_near_uniform_chi_square():
     # 1e5 distinct indices into 16 buckets: every count within 5 sigma
     n, m = 100_000, 16
-    spec = HashSpec(seed=2024, copy_index=0, m=m)
-    buckets = bucket_array(spec, np.arange(n, dtype=np.uint64))
+    buckets = bucket_grid(2024, 1, np.arange(n, dtype=np.uint64), m)[0]
     counts = np.bincount(buckets, minlength=m)
     expect = n / m
     sigma = np.sqrt(n * (1 / m) * (1 - 1 / m))

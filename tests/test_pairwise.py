@@ -11,9 +11,9 @@ from sparse_sketch.pairwise import (
     _BLOCK,
     HASH_BUDGET,
     lp_dists,
-    pair_copy_tables,
     pairwise_power_dists,
     stacked_image,
+    stacked_linf,
     stacked_power_sums,
 )
 from sparse_sketch.vectors import INF, SparseVector, lp_dist
@@ -21,6 +21,7 @@ from sparse_sketch.vectors import INF, SparseVector, lp_dist
 from helpers import (
     naive_stack_linf,
     naive_stack_pair_powers,
+    pair_copy_tables,
     random_sparse,
     stack_of,
     two_image_tables,
@@ -94,6 +95,31 @@ def test_pair_copy_tables_key_both_images():
         pair_copy_tables(x, x, m, copies, 0, ps=(2.0,))
     with pytest.raises(PreconditionError, match="hash budget"):
         stacked_image(x, m, copies, 0)  # one image's keys fit
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_stacked_linf_equals_the_per_copy_max(signed):
+    rng = np.random.default_rng(505 if signed else 606)
+    cases = [build_case(rng, signed) for _ in range(30)]
+    for m in (1, 2, 3):  # copies spanning three hashing blocks, the last one partial
+        vecs = [random_sparse(rng, 12, int(rng.integers(0, 5)), signed=signed) for _ in range(6)]
+        vecs += [SparseVector.zero(12), vecs[1], vecs[2]]  # a zero vector, duplicates
+        cases.append((vecs, m, 2 * _BLOCK + 37, 40 + m))
+    for vecs, m, T, seed in cases:
+        got = stacked_linf(vecs, m, T, seed)
+        for i in range(len(vecs)):
+            for j in range(len(vecs)):
+                expect = 0.0 if i == j else naive_stack_linf(vecs[i], vecs[j], m, T, seed)
+                assert got[i, j] == expect
+
+
+def test_stacked_linf_of_empty_and_zero_datasets():
+    z = SparseVector.zero(10)
+    assert (stacked_linf([z, z, z], 3, 2 * _BLOCK + 1, 0) == 0.0).all()
+    assert stacked_linf([], 3, 5, 0).shape == (0, 0)
+    x = SparseVector.from_pairs({0: 1.0, 4: -2.5}, 10)
+    assert (stacked_linf([z, x], 1, 3, 0) == [[0.0, 1.0], [1.0, 0.0]]).all()
+    assert (stacked_linf([z, x], 7, 0, 0) == 0.0).all()  # no copies
 
 
 @pytest.mark.filterwarnings("error")
@@ -235,6 +261,8 @@ def test_engine_rejects_unkeyable_copy_counts():
     x = SparseVector.from_pairs({0: 1.0}, 10)
     with pytest.raises(ValueError):
         stacked_power_sums([x, x], 1 << 40, 1 << 30, 0, [2.0])
+    with pytest.raises(ValueError, match="too large to key"):
+        stacked_linf([x, x], 1 << 40, 1 << 30, 0)
 
 
 def test_copy_loops_check_the_hash_budget():
@@ -243,7 +271,7 @@ def test_copy_loops_check_the_hash_budget():
     with pytest.raises(PreconditionError, match="hash budget"):
         stacked_power_sums([x, x], 3, copies, 0, [2.0])
     with pytest.raises(PreconditionError, match="hash budget"):
-        pair_copy_tables(x, x, 3, copies, 0, with_linf=True)
+        stacked_linf([x, x], 3, copies, 0)
     with pytest.raises(PreconditionError, match="hash budget"):
         stack_embed(stack_of(1, copies, 0), x)
 
@@ -267,3 +295,23 @@ def test_engine_memory_is_bounded_by_the_hashing_block():
     top = np.array([max(v.values) for v in vecs])
     assert np.allclose(got[2.0], copies * (top[:, None] - top[None, :]) ** 2,
                        rtol=1e-9, atol=1e-9)
+
+
+def test_stacked_linf_memory_is_bounded_by_the_hashing_block():
+    # the engine test's shape: at m = 1 all 120 vectors share each copy's one
+    # key, 7140 owner pairs per copy; twice the blocks must not raise the peak
+    rng = np.random.default_rng(12)
+    vecs = [random_sparse(rng, 500, 2) for _ in range(120)]
+    top = np.array([max(v.values) for v in vecs])
+    peaks = []
+    for blocks in (10, 20):
+        tracemalloc.start()
+        try:
+            got = stacked_linf(vecs, 1, blocks * _BLOCK, 6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # one bucket per copy: each image is the vector's largest entry
+        assert (got == np.abs(top[:, None] - top[None, :])).all()
+    assert peaks[1] <= 1.05 * peaks[0]
+    assert peaks[1] < 35e6  # 31.8 MB measured

@@ -213,3 +213,12 @@ def test_birthday_matrix_columns_are_indicator():
     assert lin.rows == 16 and lin.cols == 40
     assert np.all(lin.matrix.sum(axis=0) == 1.0)
     assert set(np.unique(lin.matrix)) <= {0.0, 1.0}
+
+
+def test_dense_map_matrix_is_a_read_only_view():
+    mat = np.ones((3, 4))
+    lin = DenseLinearMap(mat)
+    with pytest.raises(ValueError, match="read-only"):
+        lin.matrix[0, 0] = 2.0
+    assert np.shares_memory(lin.matrix, mat)  # no copy
+    mat[0, 0] = 5.0  # the caller's array keeps its own flags

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""sha256 digests of 25 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 26 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
 mode) and prints one `<sha256>  <label>` line per command. A wider
 40-vector dataset adds commands whose output moves when an exact-distance
 kernel's last bits do, and a p = inf `distort` of it into 20 buckets over
-three hashing blocks, where most keys are shared. Embeddings wider than
+three hashing blocks, where most keys are shared. A p = 2000 norm
+against zero is finite only if the stacked estimate is scaled by its
+largest difference. Embeddings wider than
 10^5 and 10^6 cells hash six- and seven-digit column names, and an estimator of m = 15,000 buckets
 answers queries whose dense per-bucket dots would be longer than the
 10,000 elements above which OpenBLAS splits a dot across its threads. The
@@ -48,6 +50,8 @@ COMMANDS = {
                                             "--mode", "sum-linf"],
     "distort against-zero p 3": ["distort", "--input", "DATA", "--against-zero", "--p", "3",
                                  "--m", "50", "--T", "2"],
+    "distort against-zero p 2000": ["distort", "--input", "DATA", "--against-zero", "--p",
+                                    "2000", "--m", "50", "--T", "2"],
     "apps diameter p inf": ["apps", "diameter", "--input", "DATA", "--trials", "5"],
     "apps diameter p 1": ["apps", "diameter", "--input", "DATA", "--p", "1", "--trials", "5"],
     "apps diameter p 2": ["apps", "diameter", "--input", "DATA", "--p", "2"],

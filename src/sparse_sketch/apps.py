@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embeddings import MaxHashMap, landed_buckets, max_embed, require_cells
-from .errors import ParseError, PatternBudgetError, PreconditionError
+from .errors import PatternBudgetError, PreconditionError
 from .hashing import HashSpec
 from .pairwise import lp_dists, pairwise_power_dists, stacked_image, stacked_power_sums
 from .vectors import (
@@ -330,13 +330,9 @@ class DistanceEstimator:
     totals: np.ndarray = field(init=False, compare=False, repr=False)  # (R,) k = 0 terms
 
     def __post_init__(self):
-        # built and loaded estimators share this one sum; read-only, so it cannot go stale
+        # the k = 0 terms, summed once; both read-only, so they cannot go stale
         object.__setattr__(self, "power_sums", _read_only(self.power_sums))
         object.__setattr__(self, "totals", _read_only(self.power_sums[:, :, self.p].sum(axis=1)))
-
-    @property
-    def n(self) -> int:
-        return int(round(self.power_sums[0, 0, 0]))
 
     def map_for(self, rep: int) -> MaxHashMap:
         return MaxHashMap(HashSpec(self.seed, rep, self.m))
@@ -370,35 +366,6 @@ class DistanceEstimator:
         # a sum of p-th powers; binomial cancellation can leave it just below 0
         estimates = np.maximum(self.totals + sparse, 0.0)
         return float(np.sort(estimates)[(self.R - 1) // 2])
-
-    def to_json_dict(self) -> dict:
-        tables = self.power_sums[:, :, ::-1]  # exponent e -> slot k = p - e
-        return {
-            "p": self.p,
-            "eps": self.eps,
-            "R": self.R,
-            "seed": self.seed,
-            "m": self.m,
-            "dim": self.dim,
-            "tables": tables.tolist(),
-        }
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "DistanceEstimator":
-        """Inverse of `to_json_dict`; a missing key is a ParseError."""
-        try:
-            tables = np.asarray(obj["tables"], dtype=np.float64)
-            return DistanceEstimator(
-                p=int(obj["p"]),
-                eps=float(obj["eps"]),
-                R=int(obj["R"]),
-                seed=int(obj["seed"]),
-                m=int(obj["m"]),
-                power_sums=tables[:, :, ::-1].copy(),
-                dim=int(obj["dim"]),
-            )
-        except KeyError as e:
-            raise ParseError(f"estimator JSON lacks key {e}")
 
 
 def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> DistanceEstimator:

@@ -31,13 +31,12 @@ from .apps import (
     maxcut_sketched,
 )
 from .embeddings import (
-    BirthdayMap,
     EmbedParams,
     StackedEmbedding,
-    birthday_embed,
+    estimate_distance,
     plan_params,
     require_cells,
-    stack_embed,
+    sum_pool,
     with_overrides,
 )
 from .errors import (
@@ -46,7 +45,7 @@ from .errors import (
     PreconditionError,
     SketchError,
 )
-from .hashing import HashSpec, derive_seed
+from .hashing import bucket_grid, derive_seed
 from .pairwise import lp_dists, stacked_image, stacked_linf, stacked_power_sums
 from .probes import (
     DenseLinearMap,
@@ -55,7 +54,7 @@ from .probes import (
     preservation_trials,
     unif_draws,
 )
-from .vectors import INF, _dense_norm, lp_norm
+from .vectors import INF, SparseVector, _dense_norm, lp_norm
 
 _SLACK = 1e-9
 
@@ -145,21 +144,21 @@ def _distort_pairs(args, dataset, params, seed):
 
 def _distort_norms(args, dataset, params, seed):
     """Per-vector norm-versus-zero comparison of the max-pool map against
-    the linear sum-hash baseline, both at the same output width."""
+    the linear sum-hash baseline, both at the same output width, from the
+    buckets each vector lands in."""
     stack = StackedEmbedding(params, seed)
     p = args.p if args.p is not None else INF
     width = params.m * params.T
+    require_cells(width, "stacked embedding")
+    zero = SparseVector.zero(dataset.dim)
     rows = []
     for vec_id, vec in dataset:
         true = lp_norm(vec, p)
-        emb_max = stack_embed(stack, vec)
-        if p == INF:
-            approx_max = float(np.abs(emb_max).max(initial=0.0))
-        else:
-            approx_max = float((np.sum(np.abs(emb_max) ** p) / params.T) ** (1.0 / p))
-        sum_map = BirthdayMap(HashSpec(seed, 0, width))
-        emb_sum = birthday_embed(sum_map, vec)
-        approx_sum = _dense_norm(emb_sum, p)
+        approx_max = estimate_distance(stack, vec, zero, p)
+        # the sum-hash map is one copy at the full width; its row's non-zero sums
+        landed, inv = np.unique(bucket_grid(seed, 1, vec.indices, width)[0],
+                                return_inverse=True)
+        approx_sum = _dense_norm(sum_pool(inv, vec.values, len(landed)), p)
         for label, approx in (("max-hash", approx_max), ("sum-hash", approx_sum)):
             ratio = approx / true if true > 0 else None
             rows.append((vec_id, label, p, true, approx, ratio))

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import EmbeddingMismatch, ParseError, PreconditionError
 from .hashing import HashSpec, bucket_grid
 from .pairwise import _max_pool_keys, stacked_image
-from .vectors import INF, SparseVector, _check_p, require_nonneg
+from .vectors import SparseVector, _check_p, _dense_norm, require_nonneg
 
 MODES = ("all-p", "linf-exact", "sum-linf", "discrete")
 
@@ -249,19 +249,18 @@ def estimate_distance(stack: StackedEmbedding, x: SparseVector, y: SparseVector,
     """Distance estimate from the stacked embedding.
 
     Finite p: (||F(x) - F(y)||_p^p / T)^(1/p), i.e. the per-copy average of
-    p-th powers. p = INF: the plain max over all coordinates, no
-    normalization. For non-negative inputs the estimate never exceeds the
-    true distance (up to float roundoff).
+    p-th powers, scaled by the largest difference so that it is finite at
+    any p. p = INF: the plain max over all coordinates, no normalization.
+    For non-negative inputs the estimate never exceeds the true distance
+    (up to float roundoff).
     """
     p = _check_p(p)
     if x.dim != y.dim:
         raise EmbeddingMismatch(f"ambient dimensions differ: {x.dim} vs {y.dim}")
     (kx, vx), (ky, vy) = (stacked_image(v, stack.m, stack.T, stack.seed) for v in (x, y))
     keys, inv = np.unique(np.concatenate([kx, ky]), return_inverse=True)
-    d = np.abs(np.bincount(inv, weights=np.concatenate([vx, -vy]), minlength=len(keys)))
-    if p == INF:
-        return float(d.max(initial=0.0))
-    return float((np.sum(d ** p) / stack.T) ** (1.0 / p))
+    d = np.bincount(inv, weights=np.concatenate([vx, -vy]), minlength=len(keys))
+    return _dense_norm(d, p, stack.T)
 
 
 def estimate_distance_embedded(params: EmbedParams, seed_a: int, ea: np.ndarray,
@@ -276,10 +275,7 @@ def estimate_distance_embedded(params: EmbedParams, seed_a: int, ea: np.ndarray,
         raise EmbeddingMismatch(
             f"expected embedded rows of length {width}, got {ea.shape} and {eb.shape}"
         )
-    d = np.abs(ea - eb)
-    if p == INF:
-        return float(d.max(initial=0.0))
-    return float((np.sum(d ** p) / params.T) ** (1.0 / p))
+    return _dense_norm(ea - eb, p, params.T)
 
 
 def estimate_sum_norm(stack: StackedEmbedding, x: SparseVector, y: SparseVector) -> float:

@@ -157,7 +157,8 @@ def preservation_trials(
                     stat[i] = abs(ne - nt) / nt
                     ok[i] = stat[i] <= gamma
                 else:
-                    stat[i] = abs(ne ** p - nt ** p) / nt ** p
+                    with np.errstate(over="ignore"):  # inf beyond float range: a fail
+                        stat[i] = abs(np.float64(ne / nt) ** p - 1.0)
                     ok[i] = stat[i] <= gamma
         stats_parts.append(stat)
         pass_parts.append(ok)

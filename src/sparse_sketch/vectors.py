@@ -45,16 +45,18 @@ def _reduce_abs(abs_vals: Iterable[float], p: float) -> float:
     return top * acc ** (1.0 / p)
 
 
-def _dense_norm(arr: np.ndarray, p) -> float:
-    """The same scaled norm over a dense array, summed by numpy (so its last
-    bits can differ from the scalar loop above)."""
+def _dense_norm(arr: np.ndarray, p, copies: int = 1) -> float:
+    """top * (sum (|a| / top)^p / copies)^(1/p), or the max at p = INF: the
+    same scaled norm over an array, summed by numpy (so its last bits can
+    differ from the scalar loop above). With copies = T it is the stacked
+    per-copy mean, finite at any p; copies = 1 divides exactly."""
     a = np.abs(arr)
     top = float(a.max(initial=0.0))
     if top == 0.0:
         return 0.0
     if p == INF:
         return top
-    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
+    return top * (float(np.sum((a / top) ** p)) / copies) ** (1.0 / p)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

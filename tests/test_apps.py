@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -11,7 +10,6 @@ import pytest
 import sparse_sketch
 from sparse_sketch.apps import (
     Clustering,
-    DistanceEstimator,
     build_estimator,
     clustering_cost,
     clustering_cost_from_pair_dists,
@@ -29,7 +27,6 @@ from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.embeddings import landed_buckets
 from sparse_sketch.errors import (
     NonNegativeRequired,
-    ParseError,
     PatternBudgetError,
     PreconditionError,
 )
@@ -538,22 +535,6 @@ def test_estimator_answers_do_not_depend_on_blas_threads():
         answers.append(out.stdout.split())
     assert len(answers[0]) == 20
     assert answers[0] == answers[1]
-
-
-def test_estimator_serialization_round_trip():
-    data = random_nonneg_dataset(6, 2, 300, seed=22)
-    est = build_estimator(data, p=2, eps=0.6, seed=8)
-    blob = json.dumps(est.to_json_dict())
-    back = DistanceEstimator.from_json_dict(json.loads(blob))
-    assert back.n == len(data) and back.dim == 300
-    assert (back.totals == est.totals).all()
-    for y in data.vectors + random_nonneg_dataset(4, 2, 300, seed=24).vectors:
-        assert back.query(y) == est.query(y)
-    with pytest.raises(PreconditionError):
-        back.query(sv({0: 1.0}, d=10**6))
-    without_dim = {k: v for k, v in json.loads(blob).items() if k != "dim"}
-    with pytest.raises(ParseError):
-        DistanceEstimator.from_json_dict(without_dim)
 
 
 def test_estimator_rejects_bad_inputs():

@@ -541,6 +541,51 @@ def test_overflowing_powers_are_precondition_errors(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["distort", "--against-zero", "--p", "2000", "--m", "50", "--T", "2"],
+    ["probe", "rate", "--p", "400", "--gamma", "0.1", "--t", "4", "--r", "100",
+     "--trials", "50"],
+], ids=["distort-against-zero", "probe-rate"])
+def test_large_p_norms_are_finite_and_quiet(tmp_path, argv):
+    # the first used to report a max-hash norm of inf after a RuntimeWarning, the
+    # second to exit 1 with an OverflowError traceback
+    if argv[0] == "distort":
+        path = tmp_path / "big.tsv"
+        path.write_text("a\t0:3 1:5\nb\t2:1\nc\t1:2.5 4:7\n")
+    else:
+        path = tmp_path / "map.csv"
+        io.write_dense_map_csv(str(path), np.random.default_rng(0).standard_normal((6, 40)) * 10)
+    out = tmp_path / "o.csv"
+    src = str(Path(sparse_sketch.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-W", "default", "-m", "sparse_sketch.cli", *argv,
+                          "--input", str(path), "--output", str(out)],
+                         capture_output=True, text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert "Warning" not in run.stderr and "Traceback" not in run.stderr
+    _, rows = csv_rows(str(out))
+    if argv[0] == "distort":
+        assert {r[0]: float(r[4]) for r in rows if r[1] == "max-hash"} == \
+            {"a": 5.0, "b": 1.0, "c": 7.0}
+    else:  # a p-th power ratio beyond float range is an inf deviation, and a fail
+        assert len(rows) == 50
+        assert all(int(r[2]) == (float(r[1]) <= 0.1) for r in rows)
+
+
+@pytest.mark.parametrize("p", ["1", "3", "inf"])
+def test_against_zero_max_hash_is_estimate_distance_to_zero(tmp_path, p):
+    data, ds = write_data(tmp_path, n=8, s=4, d=60, seed=5)
+    out = str(tmp_path / "norms.csv")
+    assert main(["distort", "--input", data, "--output", out, "--against-zero",
+                 "--m", "7", "--T", "30", "--p", p, "--seed", "9"]) == 0
+    _, rows = csv_rows(out)
+    stack = stack_of(7, 30, 9)
+    vecs = dict(zip(ds.ids, ds.vectors))
+    got = {r[0]: float(r[4]) for r in rows if r[1] == "max-hash"}
+    assert got == {i: estimate_distance(stack, v, SparseVector.zero(ds.dim), _parse_p(p))
+                   for i, v in vecs.items()}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_dist_est_sum_beyond_float_range_is_infinite(tmp_path):
     path = tmp_path / "big.tsv"
@@ -635,5 +680,5 @@ def test_cli_digest_script_prints_one_digest_per_command():
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 25
+    assert len(lines) == 26
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

@@ -24,7 +24,7 @@ from sparse_sketch.errors import EmbeddingMismatch, NonNegativeRequired, Precond
 from sparse_sketch.hashing import HashSpec, hash_bucket
 from sparse_sketch.vectors import INF, SparseVector, lp_dist, lp_norm, sum_vectors
 
-from helpers import dense_lp, random_sparse, stack_of
+from helpers import copy_diffs, dense_lp, random_sparse, stack_of
 
 
 def sv(pairs, d=1000):
@@ -267,6 +267,23 @@ def test_estimate_embedded_rows_and_mismatch():
     assert from_rows == pytest.approx(direct, rel=1e-12)
     with pytest.raises(EmbeddingMismatch):
         estimate_distance_embedded(params, 3, ex, 4, ey, 2)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1])
+def test_estimates_at_huge_p_are_the_scaled_per_copy_mean(scale):
+    # unscaled, the p-th powers overflowed to inf at scale 1 and underflowed to 0 at 0.1
+    x, y = sv({0: 3.0 * scale, 1: 5.0 * scale}), sv({2: 1.0 * scale})
+    m, T, seed, p = 50, 2, 0, 2000
+    diffs = copy_diffs(x, y, m, T, seed)
+    top = max(diffs)
+    want = top * (sum((d / top) ** p for d in diffs) / T) ** (1.0 / p)
+    stack = stack_of(m, T, seed)
+    direct = estimate_distance(stack, x, y, p)
+    from_rows = estimate_distance_embedded(stack.params, seed, stack_embed(stack, x),
+                                           seed, stack_embed(stack, y), p)
+    for got in (direct, from_rows):
+        assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12)
+        assert 0.0 < got <= lp_dist(x, y, p) * (1 + 1e-12)
 
 
 # --- sum sandwich (scalar mode)

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""sha256 digests of 26 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 27 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
 mode) and prints one `<sha256>  <label>` line per command. A wider
 40-vector dataset adds commands whose output moves when an exact-distance
 kernel's last bits do, and a p = inf `distort` of it into 20 buckets over
-three hashing blocks, where most keys are shared. A p = 2000 norm
+three hashing blocks, where most keys are shared. A p = inf `distort` of
+the signed data into 8 buckets mixes coordinates that are never alone in a
+bucket with ones alone in some copy. A p = 2000 norm
 against zero is finite only if the stacked estimate is scaled by its
 largest difference. Embeddings wider than
 10^5 and 10^6 cells hash six- and seven-digit column names, and an estimator of m = 15,000 buckets
@@ -72,6 +74,8 @@ COMMANDS = {
                                 "--delta", "1", "--p", "1", "--eps", "0.5"],
     "signed distort p inf": ["distort", "--input", "SIGNED", "--p", "inf",
                              "--m", "40", "--T", "3"],
+    "signed distort p inf m 8": ["distort", "--input", "SIGNED", "--p", "inf",
+                                 "--m", "8", "--T", "3"],
     "signed embed discrete": ["embed", "--input", "SIGNED", "--mode", "discrete",
                               "--delta", "1", "--p", "1", "--eps", "0.9"],
     "wide distort p 2": ["distort", "--input", "WIDE", "--p", "2"],

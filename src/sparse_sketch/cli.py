@@ -32,8 +32,6 @@ from .apps import (
 )
 from .embeddings import (
     EmbedParams,
-    StackedEmbedding,
-    estimate_distance,
     plan_params,
     require_cells,
     sum_pool,
@@ -54,7 +52,7 @@ from .probes import (
     preservation_trials,
     unif_draws,
 )
-from .vectors import INF, SparseVector, _dense_norm, lp_norm
+from .vectors import INF, _dense_norm, lp_norm
 
 _SLACK = 1e-9
 
@@ -146,15 +144,13 @@ def _distort_norms(args, dataset, params, seed):
     """Per-vector norm-versus-zero comparison of the max-pool map against
     the linear sum-hash baseline, both at the same output width, from the
     buckets each vector lands in."""
-    stack = StackedEmbedding(params, seed)
     p = args.p if args.p is not None else INF
     width = params.m * params.T
     require_cells(width, "stacked embedding")
-    zero = SparseVector.zero(dataset.dim)
     rows = []
     for vec_id, vec in dataset:
         true = lp_norm(vec, p)
-        approx_max = estimate_distance(stack, vec, zero, p)
+        approx_max = _dense_norm(stacked_image(vec, params.m, params.T, seed)[1], p, params.T)
         # the sum-hash map is one copy at the full width; its row's non-zero sums
         landed, inv = np.unique(bucket_grid(seed, 1, vec.indices, width)[0],
                                 return_inverse=True)
@@ -237,7 +233,7 @@ def cmd_apps(args) -> int:
         if not args.queries:
             raise ParseError("dist-est needs --queries FILE")
         p_raw = args.p if args.p is not None else 4.0
-        if p_raw == INF or p_raw != int(p_raw):
+        if not p_raw.is_integer():  # False for inf and nan too
             raise PreconditionError("dist-est needs an even integer p")
         p = int(p_raw)
         queries = io.read_dataset(args.queries, dim=dataset.dim)

@@ -20,28 +20,29 @@ distance estimator's R repetitions are its R copies.
 ``embeddings.landed_buckets`` is the single-copy image.
 
 Two all-pairs kernels evaluate a dataset's embedded distances, each
-cross-checked in the test suite against the per-copy definition:
+cross-checked in the test suite against the per-copy definition. A
+(copy, bucket) that receives one distinct coordinate holds its value exactly
+in every image, so only the collision groups (those receiving two or more)
+differ from the true vectors. ``_collision_blocks`` is the one walk over
+them: ``_BLOCK`` copies at a time, a row sort flags the copies with a shared
+bucket, only those are argsorted into groups, and the members' (group, owner
+vector, value) entries are pooled per (group, vector) to the top t_u. Its
+arrays scale with ``_BLOCK``, not with the copy count.
 
-* ``stacked_linf``: p = inf. A pair's estimate is the max of |a_u - a_v|
-  over the keys both stacked images hold and of each side's largest |a|
-  at a key the other lacks. Per block of ``_BLOCK`` copies the images are
-  pooled per (key, vector); ``_run_pairs`` gives the owner pairs of every
-  shared key, and u's largest |a| that v lacks sits at the first of u's
-  |a|-ranks the pair does not share. A max decomposes over blocks, so the
-  blocking is exact.
+* ``stacked_linf``: p = inf. A max over copies splits by key. Keys that
+  hold one coordinate give |x_u - x_v| at each coordinate alone in some
+  copy: ``lp_dists`` at p = inf over the vectors restricted to those.
+  The groups give the max of |t_u - t_v| over the groups both vectors hold
+  and of each side's largest |t| at a group the other lacks; that sits at
+  the first of u's |t|-ranks the pair does not share. A max decomposes
+  over blocks, so the blocking is exact.
 * ``stacked_power_sums``: finite p. A copy without collisions contributes
   exactly the true distance, so the T-fold sum is T * D plus corrections
-  at the (copy, bucket) groups that receive two or more distinct
-  coordinates. The copies are hashed
-  ``_BLOCK`` at a time; a row sort flags the copies with a shared bucket
-  and only those are argsorted into groups. Each group member is expanded
-  to its (group, owner vector, value) entries, and three corrections are
-  summed with segmented reductions and ``np.bincount``, with no Python
-  loop per group. The first two are added up block by block, so every
-  array scales with ``_BLOCK``, not with the copy count:
+  at the groups, summed with segmented reductions and ``np.bincount``
+  (no Python loop per group); the first two block by block:
 
-  - per (group, vector): |t_u|^p - sum |x_u|^p over its landed entries,
-    where t_u is the pooled max; it applies to every pair of u;
+  - per (group, vector): |t_u|^p - sum |x_u|^p over its landed entries;
+    it applies to every pair of u;
   - per owner pair in a group: |t_u - t_v|^p - |t_u|^p - |t_v|^p;
   - per coordinate owned by both u and v: |x_u - x_v|^p - |x_u|^p -
     |x_v|^p, subtracted once per copy in which that coordinate collides.
@@ -208,10 +209,16 @@ def _run_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, i + 1 + _expand(np.zeros_like(partners), partners)
 
 
-def _collision_blocks(seed: int, copies: int, distinct: np.ndarray, m: int):
-    """Per block of ``_BLOCK`` copies, (group id, coordinate position) of every
-    member of a (copy, bucket) group holding two or more distinct coordinates.
-    Group ids count from 0 in each block; blocks without collisions are skipped."""
+def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
+    """Per block of ``_BLOCK`` copies, the (copy, bucket) groups holding two or
+    more distinct coordinates of the ``_ownership`` tuple `owners` (of n
+    vectors). Yields the coordinate position of every group member; each
+    (group, vector) entry's vector and pooled max; the landed values sorted
+    by entry, with the entries' run starts; and the entry pairs i < j inside
+    each group. Blocks without collisions are skipped. Everywhere else a
+    coordinate lands alone and every image holds its value exactly, so a
+    kernel adds those copies from the true vectors, not from this walk."""
+    distinct, owner_vec, owner_val, ostarts, ocounts = owners
     for start in range(0, copies, _BLOCK):
         grid = bucket_grid(seed, min(_BLOCK, copies - start), distinct, m, start=start)
         if m <= np.iinfo(np.int32).max:
@@ -230,7 +237,16 @@ def _collision_blocks(seed: int, copies: int, distinct: np.ndarray, m: int):
         after = np.hstack([edge, same]).ravel()  # same bucket as the previous
         member = after | np.hstack([same, edge]).ravel()
         # a group opens at a member whose `after` is off
-        yield np.cumsum(~after[member]) - 1, order.ravel()[member]
+        group, coord = np.cumsum(~after[member]) - 1, order.ravel()[member]
+        # one entry per (group, owner vector, value), segmented by (group, vector)
+        pos = _expand(ostarts[coord], ocounts[coord])
+        key = np.repeat(group, ocounts[coord]) * n + owner_vec[pos]
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], owner_val[pos][order]
+        seg = _run_starts(key)
+        group, vec = np.divmod(key[seg], n)
+        yield (coord, vec, np.maximum.reduceat(val, seg), val, seg,
+               _run_pairs(np.diff(_run_starts(group), append=len(seg))))
 
 
 def stacked_power_sums(
@@ -248,7 +264,7 @@ def stacked_power_sums(
     """
     n = len(vectors)
     ps = [float(p) for p in ps]
-    distinct, owner_vec, owner_val, ostarts, ocounts = _ownership(vectors)
+    distinct, owner_vec, owner_val, ostarts, ocounts = owners = _ownership(vectors)
     require_hashes(copies, m, len(distinct))
     if base is None:
         base = pairwise_power_dists(vectors, ps)
@@ -259,17 +275,8 @@ def stacked_power_sums(
     rows = {p: np.zeros(n) for p in ps}
     pairs = {p: np.zeros(n * n) for p in ps}
     hits = np.zeros(len(distinct), dtype=np.int64)  # copies in which a coordinate collides
-    for group, coord in _collision_blocks(seed, copies, distinct, m):
+    for coord, seg_vec, top, val, seg, (gi, gj) in _collision_blocks(owners, n, m, copies, seed):
         hits += np.bincount(coord, minlength=len(distinct))
-        # one entry per (group, owner vector, value), segmented by (group, vector)
-        pos = _expand(ostarts[coord], ocounts[coord])
-        key = np.repeat(group, ocounts[coord]) * n + owner_vec[pos]
-        order = np.argsort(key, kind="stable")
-        key, val = key[order], owner_val[pos][order]
-        seg = _run_starts(key)
-        seg_vec, seg_group = key[seg] % n, key[seg] // n
-        top = np.maximum.reduceat(val, seg)
-        gi, gj = _run_pairs(np.diff(_run_starts(seg_group), append=len(seg)))
         pair_key = seg_vec[gi] * n + seg_vec[gj]
         for p in ps:
             # an overflowed power (inf, or nan from inf - inf) is reported by _require_finite
@@ -308,28 +315,21 @@ def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int
     """(n, n) matrix of max_c ||f_c(x_i) - f_c(x_j)||_inf for all pairs: the
     largest |a_u - a_v| over the keys of two stacked images (absent = 0)."""
     n = len(vectors)
-    distinct, owner, value, _, counts = _ownership(vectors)
+    distinct, *_ = owners = _ownership(vectors)
     require_hashes(copies, m, len(distinct))
-    coord = np.repeat(np.arange(len(distinct)), counts)
-    out = np.zeros((n, n))  # out[u, v]: the pair's max so far, seen from u
-    for start in range(0, copies, _BLOCK):
-        grid = bucket_grid(seed, min(_BLOCK, copies - start), distinct, m, start=start)
-        # the block's images pooled per (key, vector), in that order
-        kid = np.unique(np.arange(len(grid))[:, None] * m + grid[:, coord],
-                        return_inverse=True)[1].ravel()
-        pooled, val = _max_pool_keys(kid * n + np.tile(owner, len(grid)),
-                                     np.tile(value, len(grid)))
-        kid, vec = np.divmod(pooled, n)
-        # each vector's entries ranked by |a|, largest first; slot len(val) reads 0
-        order = np.lexsort((-np.abs(val), vec))
-        ranked = np.append(np.abs(val[order]), 0.0)
+    hits = np.zeros(len(distinct), dtype=np.int64)  # copies in which a coordinate collides
+    out = np.zeros((n, n))  # out[u, v]: the pair's max over groups so far, seen from u
+    for coord, vec, top, _, _, (a, b) in _collision_blocks(owners, n, m, copies, seed):
+        hits += np.bincount(coord, minlength=len(distinct))
+        # each vector's tops ranked by |t|, largest first; slot len(top) reads 0
+        order = np.lexsort((-np.abs(top), vec))
+        ranked = np.append(np.abs(top[order]), 0.0)
         sizes = np.bincount(vec, minlength=n)
         first = np.cumsum(sizes) - sizes
         rank = np.argsort(order) - first[vec]
-        # the owner pairs of each shared key, the lower vector first
-        a, b = _run_pairs(np.diff(_run_starts(kid), append=len(kid)))
-        np.maximum.at(out, (vec[a], vec[b]), np.abs(val[a] - val[b]))
-        # u's largest |a| at a key v lacks sits at the first rank that u does
+        # (a, b): the owner pairs of each shared group, the lower vector first
+        np.maximum.at(out, (vec[a], vec[b]), np.abs(top[a] - top[b]))
+        # u's largest |t| at a group v lacks sits at the first rank that u does
         # not share with v: the length of the run 0, 1, 2, ... of shared ranks
         scale = int(sizes.max(initial=1))
         key = np.concatenate([(vec[a] * n + vec[b]) * scale + rank[a],
@@ -341,10 +341,14 @@ def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int
         key -= np.arange(len(key))  # rank - position: -start along a leading run
         lead = key == np.repeat(-starts, np.diff(starts, append=len(key)))
         run = np.add.reduceat(lead, starts, dtype=np.int64)
-        # a pair that shares no key reads u's largest |a|; the others are restored
-        kept = out[pu, pv]
-        np.maximum(out, ranked[np.where(sizes > 0, first, len(val))][:, None], out=out)
-        out[pu, pv] = np.maximum(kept, ranked[np.where(run < sizes[pu], first[pu] + run, len(val))])
-    out = np.maximum(out, out.T)
+        # a pair that shares no group reads u's largest |t|; the others are restored
+        seen = out[pu, pv]
+        np.maximum(out, ranked[np.where(sizes > 0, first, len(top))][:, None], out=out)
+        out[pu, pv] = np.maximum(seen, ranked[np.where(run < sizes[pu], first[pu] + run, len(top))])
+    # a coordinate alone in its bucket in some copy is held exactly there by every image
+    alone = set(distinct[hits < copies].tolist())
+    kept = [SparseVector.from_pairs([(i, x) for i, x in v.items() if i in alone], v.dim)
+            for v in vectors]
+    out = np.maximum(np.maximum(out, out.T), lp_dists(kept, kept, INF))
     np.fill_diagonal(out, 0.0)
     return out

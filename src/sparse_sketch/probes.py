@@ -71,8 +71,8 @@ class UnifSpec:
     def __post_init__(self):
         if not 1 <= self.t <= self.d:
             raise PreconditionError(f"need 1 <= t <= d, got t={self.t}, d={self.d}")
-        if self.r <= 0:
-            raise PreconditionError(f"variance must be positive, got {self.r}")
+        if not 0 < self.r < math.inf:  # False for nan too
+            raise PreconditionError(f"variance must be finite and positive, got {self.r}")
 
 
 def _support_matrix(rng: np.random.Generator, trials: int, d: int, t: int) -> np.ndarray:
@@ -92,6 +92,8 @@ def unif_draws(spec: UnifSpec, trials: int, shard: int = 0) -> tuple[np.ndarray,
     The stream is a pure function of (spec.seed, shard): identical inputs
     reproduce identical draws, across runs and processes.
     """
+    if trials < 1:
+        raise PreconditionError("need at least one trial")
     rng = np.random.default_rng(derive_seed(spec.seed, 0xD14A, shard))
     supports = _support_matrix(rng, trials, spec.d, spec.t)
     values = rng.normal(0.0, math.sqrt(spec.r), size=(trials, spec.t))
@@ -119,8 +121,6 @@ def preservation_trials(
     p = _check_p(p)
     if lin_map.cols != spec.d:
         raise PreconditionError(f"map has {lin_map.cols} columns but draws live in dimension {spec.d}")
-    if trials < 1:
-        raise PreconditionError("need at least one trial")
     if gamma < 0:
         raise PreconditionError("gamma must be >= 0")
     jobs = max(1, min(jobs, trials))

@@ -347,6 +347,28 @@ def test_probe_unif_stats_full_coverage(tmp_path):
     assert "# coverage: 1.0" in read_lines(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["unif-stats", "--d", "50", "--r", "nan"],
+    ["unif-stats", "--d", "50", "--r", "inf"],
+    ["unif-stats", "--d", "50", "--trials", "0"],
+    ["rate", "--r", "nan", "--trials", "5"],
+], ids=["unif-stats-r-nan", "unif-stats-r-inf", "unif-stats-no-trials", "rate-r-nan"])
+def test_probe_bad_sizes_are_quiet_precondition_errors(tmp_path, argv):
+    # the unif-stats cases used to exit 0 with nan or inf statistics, the last
+    # one after two numpy RuntimeWarnings
+    mpath = tmp_path / "map.csv"
+    io.write_dense_map_csv(str(mpath), np.random.default_rng(0).standard_normal((6, 50)))
+    out = tmp_path / "o.csv"
+    src = str(Path(sparse_sketch.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-W", "default", "-m", "sparse_sketch.cli", "probe",
+                          *argv, "--input", str(mpath), "--output", str(out)],
+                         capture_output=True, text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 3, run.stderr
+    assert "Warning" not in run.stderr and "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_internal_breach_exit_code(tmp_path, monkeypatch):
     # force the must-never-happen branch to confirm the exit-code contract
     import sparse_sketch.cli as cli_mod
@@ -661,12 +683,13 @@ _PLANNER_COMMANDS = {
 @given(command=st.sampled_from(sorted(_PLANNER_COMMANDS)),
        mode=st.sampled_from(["all-p", "linf-exact", "sum-linf", "discrete"]),
        delta=st.sampled_from([None, "0", "1", "3"]),
-       p=st.sampled_from(["1", "2", "4", "1100", "2000", "inf"]),
+       p=st.sampled_from(["1", "2", "4", "1100", "2000", "inf", "-inf", "nan"]),
        eps=st.sampled_from(["0.5", "1e-3", "1e-160", "1e-200", "5e-324"]))
 def test_exit_codes_over_the_planner_flags(planner_data, command, mode, delta, p, eps):
     # the planner runs before --m/--T replace its sizes, so accepted runs stay small
     argv = [planner_data if a == "DATA" else a for a in _PLANNER_COMMANDS[command]]
-    argv += ["--mode", mode, "--p", p, "--eps", eps] + ([] if delta is None else ["--delta", delta])
+    # "--p=": a separate "-inf" would parse as a flag
+    argv += ["--mode", mode, f"--p={p}", "--eps", eps] + ([] if delta is None else ["--delta", delta])
     with tempfile.TemporaryDirectory() as tmp:
         err = StringIO()
         with redirect_stderr(err):
@@ -680,5 +703,5 @@ def test_cli_digest_script_prints_one_digest_per_command():
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 26
+    assert len(lines) == 27
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

@@ -6,7 +6,7 @@ import pytest
 from sparse_sketch import pairwise
 from sparse_sketch.embeddings import MaxHashMap, landed_buckets, stack_embed
 from sparse_sketch.errors import DimensionMismatch, PreconditionError
-from sparse_sketch.hashing import HashSpec
+from sparse_sketch.hashing import HashSpec, hash_bucket
 from sparse_sketch.pairwise import (
     _BLOCK,
     HASH_BUDGET,
@@ -105,12 +105,21 @@ def test_stacked_linf_equals_the_per_copy_max(signed):
         vecs = [random_sparse(rng, 12, int(rng.integers(0, 5)), signed=signed) for _ in range(6)]
         vecs += [SparseVector.zero(12), vecs[1], vecs[2]]  # a zero vector, duplicates
         cases.append((vecs, m, 2 * _BLOCK + 37, 40 + m))
+    mixed = 0  # datasets with a coordinate alone in some copy and one never alone
     for vecs, m, T, seed in cases:
         got = stacked_linf(vecs, m, T, seed)
         for i in range(len(vecs)):
             for j in range(len(vecs)):
                 expect = 0.0 if i == j else naive_stack_linf(vecs[i], vecs[j], m, T, seed)
                 assert got[i, j] == expect
+        coords = {j for v in vecs for j in v.indices}
+        alone = set()
+        for c in range(T):
+            buckets = [hash_bucket(HashSpec(seed, c, m), j) for j in coords]
+            alone |= {j for j, b in zip(coords, buckets) if buckets.count(b) == 1}
+        mixed += 0 < len(alone) < len(coords)
+    # so both of the kernel's terms, kept coordinates and collision groups, meet
+    assert mixed >= 1
 
 
 def test_stacked_linf_of_empty_and_zero_datasets():

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""sha256 digests of 27 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 28 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
 mode) and prints one `<sha256>  <label>` line per command. A wider
 40-vector dataset adds commands whose output moves when an exact-distance
-kernel's last bits do, and a p = inf `distort` of it into 20 buckets over
-three hashing blocks, where most keys are shared. A p = inf `distort` of
-the signed data into 8 buckets mixes coordinates that are never alone in a
-bucket with ones alone in some copy. A p = 2000 norm
-against zero is finite only if the stacked estimate is scaled by its
-largest difference. Embeddings wider than
-10^5 and 10^6 cells hash six- and seven-digit column names, and an estimator of m = 15,000 buckets
+kernel's last bits do, a p = inf `distort` of it into 20 buckets over
+three hashing blocks, where most keys are shared, and a p = 4 `distort` of
+it into 2 buckets, where a vector pools three or more coordinates in one
+bucket, so the digest pins the order in which a group's powers are summed.
+A p = inf `distort` of the signed data into 8 buckets mixes coordinates
+that are never alone in a bucket with ones alone in some copy. A p = 2000
+norm against zero is finite only if the stacked estimate is scaled by its
+largest difference. Embeddings wider than 10^5 and 10^6 cells hash six-
+and seven-digit column names, and an estimator of m = 15,000 buckets
 answers queries whose dense per-bucket dots would be longer than the
 10,000 elements above which OpenBLAS splits a dot across its threads. The
 path-valued keys of each `# config:` line are dropped before hashing, so
@@ -81,6 +83,7 @@ COMMANDS = {
     "wide distort p 2": ["distort", "--input", "WIDE", "--p", "2"],
     "wide distort p 3": ["distort", "--input", "WIDE", "--p", "3"],
     "wide distort p inf": ["distort", "--input", "WIDE", "--p", "inf", "--m", "20", "--T", "150"],
+    "wide distort p 4 m 2": ["distort", "--input", "WIDE", "--p", "4", "--m", "2", "--T", "40"],
     "wide cluster-cost means p 4": ["apps", "cluster-cost", "--input", "WIDE", "--p", "4",
                                     "--objective", "means", *WIDE_CLUSTERS],
     "embed width 120000": ["embed", "--input", "DATA", "--m", "20000", "--T", "6",

@@ -85,6 +85,8 @@ def _load_params(args, dataset) -> tuple[EmbedParams, int]:
 
 
 def _derived_seeds(seed: int, trials: int) -> list[int]:
+    if trials < 1:
+        raise PreconditionError("need at least one trial")
     return [derive_seed(seed, 0x7218, i) % (1 << 31) for i in range(trials)]
 
 
@@ -282,14 +284,21 @@ def cmd_probe(args) -> int:
             raise ParseError("unif-stats needs --d")
         spec = UnifSpec(t=args.t, r=args.r, d=args.d, seed=args.seed)
         supports, values = unif_draws(spec, args.trials)
-        sq_norms = np.sum(values * values, axis=1)
+        with np.errstate(over="ignore"):  # reported below
+            sq_norms = np.sum(values * values, axis=1)
+            mean_sq = float(sq_norms.mean())
+        expected = float(spec.t * spec.r)
+        if not (np.isfinite(sq_norms).all() and np.isfinite(expected)):
+            raise PreconditionError(f"variance {spec.r!r}: squared norms overflow a float")
+        if not np.isfinite(mean_sq):  # the sum overflowed, the mean need not
+            mean_sq = float((sq_norms / args.trials).sum())
         rows = [(i, float(sq_norms[i]), int(supports[i].size == spec.t))
                 for i in range(args.trials)]
         covered = len(np.unique(supports)) / spec.d
         trailers = [
             f"coverage: {covered!r}",
-            f"mean_sq_norm: {float(sq_norms.mean())!r}",
-            f"expected_sq_norm: {float(spec.t * spec.r)!r}",
+            f"mean_sq_norm: {mean_sq!r}",
+            f"expected_sq_norm: {expected!r}",
         ]
         io.write_report(args.output, config, ["trial", "stat", "pass"], rows, trailers)
     return 0

@@ -8,6 +8,7 @@ dimension can be astronomically large.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,9 @@ def mix64(x: int) -> int:
 
 def _mix64_u64(z: np.ndarray) -> np.ndarray:
     # numpy uint64 arithmetic wraps mod 2**64, matching the scalar path;
-    # mutates in place over two scratch buffers to keep big grids cheap
+    # mutates z in place, with one scratch buffer, to keep big grids cheap
     with np.errstate(over="ignore"):
-        z = z + np.uint64(_GOLDEN)
+        z += np.uint64(_GOLDEN)
         t = z >> np.uint64(30)
         z ^= t
         z *= np.uint64(_MIX_A)
@@ -76,14 +77,30 @@ def hash_bucket(spec: HashSpec, j: int) -> int:
     return mix64(spec.key() ^ (j & _MASK64)) % spec.m
 
 
-def bucket_grid(seed: int, copies: int, indices: np.ndarray, m: int,
-                start: int = 0) -> np.ndarray:
-    """Buckets for `indices` under copy_index start..start+copies-1; shape
-    (copies, len)."""
-    idx = np.asarray(indices, dtype=np.uint64)
+# consecutive calls on one hash family (each vector's stacked image, each
+# estimator query) derive the same keys; the last call's stay cached
+@functools.lru_cache(maxsize=1)
+def _copy_keys(seed: int, start: int, copies: int) -> np.ndarray:
+    """Read-only per-copy keys of copy_index start..start+copies-1: the
+    ``HashSpec.key`` of each."""
     copy_ids = np.arange(start, start + copies, dtype=np.uint64)
     with np.errstate(over="ignore"):
         seed_mixed = np.uint64(mix64(seed & _MASK64))
         keys = _mix64_u64(seed_mixed ^ (copy_ids * np.uint64(_COPY_SALT)))
-        h = _mix64_u64(keys[:, None] ^ idx[None, :])
-    return (h % np.uint64(m)).astype(np.int64)
+    keys.flags.writeable = False
+    return keys
+
+
+def bucket_grid(seed: int, copies: int, indices: np.ndarray, m: int,
+                start: int = 0) -> np.ndarray:
+    """Buckets for `indices` under copy_index start..start+copies-1; shape
+    (copies, len), int64."""
+    idx = np.asarray(indices, dtype=np.uint64)
+    h = _mix64_u64(_copy_keys(seed, start, copies)[:, None] ^ idx[None, :])
+    # h % m, in place: numpy divides a uint64 array by a scalar through
+    # libdivide, several times faster than its uint64 remainder
+    m = np.uint64(m)
+    q = h // m
+    q *= m
+    h -= q
+    return h.view(np.int64)

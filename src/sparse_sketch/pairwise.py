@@ -24,10 +24,14 @@ cross-checked in the test suite against the per-copy definition. A
 (copy, bucket) that receives one distinct coordinate holds its value exactly
 in every image, so only the collision groups (those receiving two or more)
 differ from the true vectors. ``_collision_blocks`` is the one walk over
-them: ``_BLOCK`` copies at a time, a row sort flags the copies with a shared
-bucket, only those are argsorted into groups, and the members' (group, owner
-vector, value) entries are pooled per (group, vector) to the top t_u. Its
-arrays scale with ``_BLOCK``, not with the copy count.
+them, ``_BLOCK`` copies at a time. ``_shared_rows`` keys each cell as
+(bucket << bits) | column and sorts each row once: the sorted buckets flag
+the copies with a shared bucket and the low bits give the members' columns
+in bucket order, ties in column order. Where those keys would overflow
+int64 (m - 1 >= 2^(63 - bits)), a stable argsort of the flagged rows gives
+the same order. The members' (group, owner vector, value) entries are then
+pooled per (group, vector) to the top t_u. Its arrays scale with
+``_BLOCK``, not with the copy count.
 
 * ``stacked_linf``: p = inf. A max over copies splits by key. Keys that
   hold one coordinate give |x_u - x_v| at each coordinate alone in some
@@ -209,6 +213,31 @@ def _run_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, i + 1 + _expand(np.zeros_like(partners), partners)
 
 
+def _shared_rows(grid: np.ndarray, bits: int | None):
+    """The rows of a (copies, k) grid of buckets in which two columns share a
+    bucket: their indices, each such row's flags sorted[1:] == sorted[:-1],
+    and the column order that sorts it, ties in column order. With `bits`
+    (>= the bit length of k - 1, and (m - 1) << bits within int64) one sort of
+    the keys (bucket << bits) | column gives both; with None a stable argsort
+    of the shared rows gives the same order. Consumes `grid`."""
+    if bits is None:
+        buckets = np.sort(grid, axis=1)
+    else:
+        grid <<= bits
+        grid |= np.arange(grid.shape[1])
+        grid.sort(axis=1)
+        buckets = grid >> bits
+    same = buckets[:, 1:] == buckets[:, :-1]
+    dup = np.flatnonzero(same.any(axis=1))
+    if bits is None:
+        order = np.argsort(grid[dup], axis=1, kind="stable")
+    else:
+        grid &= (1 << bits) - 1  # the columns, in sorted order
+        # no copy when every row shares a bucket, the common case at scale
+        order = grid if len(dup) == len(grid) else grid[dup]
+    return dup, same[dup], order
+
+
 def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
     """Per block of ``_BLOCK`` copies, the (copy, bucket) groups holding two or
     more distinct coordinates of the ``_ownership`` tuple `owners` (of n
@@ -219,20 +248,14 @@ def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
     coordinate lands alone and every image holds its value exactly, so a
     kernel adds those copies from the true vectors, not from this walk."""
     distinct, owner_vec, owner_val, ostarts, ocounts = owners
+    bits = max(1, (len(distinct) - 1).bit_length())
+    if m - 1 >= 1 << (63 - bits):
+        bits = None  # the fused keys would overflow int64
     for start in range(0, copies, _BLOCK):
         grid = bucket_grid(seed, min(_BLOCK, copies - start), distinct, m, start=start)
-        if m <= np.iinfo(np.int32).max:
-            grid = grid.astype(np.int32)  # halves the sort's memory traffic
-        # cheap detection first: a copy needs corrections only when two distinct
-        # coordinates share a bucket, which row-sorted values expose directly
-        gs = np.sort(grid, axis=1)
-        same = gs[:, 1:] == gs[:, :-1]
-        dup = np.flatnonzero(same.any(axis=1))
+        dup, same, order = _shared_rows(grid, bits)
         if len(dup) == 0:
             continue
-        # order inside a group is free: the corrections are sums and maxima
-        order = np.argsort(grid[dup], axis=1)
-        same = same[dup]
         edge = np.zeros((len(dup), 1), dtype=bool)
         after = np.hstack([edge, same]).ravel()  # same bucket as the previous
         member = after | np.hstack([same, edge]).ravel()

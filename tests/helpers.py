@@ -13,7 +13,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from sparse_sketch.embeddings import EmbedParams, StackedEmbedding
-from sparse_sketch.hashing import HashSpec, bucket_grid, hash_bucket
+from sparse_sketch.hashing import (_GOLDEN, _MASK64, _MIX_A, _MIX_B, HashSpec, bucket_grid,
+                                   hash_bucket)
 from sparse_sketch.io import config_line
 from sparse_sketch.pairwise import _pool_grid, require_hashes, stacked_image
 from sparse_sketch.vectors import INF, SparseVector
@@ -69,6 +70,31 @@ def naive_stack_pair_powers(x, y, m, T, seed, p) -> float:
 
 def naive_stack_linf(x, y, m, T, seed) -> float:
     return max(copy_diffs(x, y, m, T, seed), default=0.0)
+
+
+def _unshift(y: int, s: int) -> int:
+    """x with x ^ (x >> s) == y, for 64-bit x."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """Inverse of ``hashing.mix64``: its xor-shifts and odd multiplies undone
+    in reverse order."""
+    z = _unshift(z, 31)
+    z = z * pow(_MIX_B, -1, 1 << 64) & _MASK64
+    z = _unshift(z, 27)
+    z = z * pow(_MIX_A, -1, 1 << 64) & _MASK64
+    z = _unshift(z, 30)
+    return (z - _GOLDEN) & _MASK64
+
+
+def index_hashing_to(spec: HashSpec, h: int) -> int:
+    """The coordinate j whose 64-bit hash under `spec` is h, so that
+    ``hash_bucket(spec, j) == h % spec.m``: collisions on demand at any m."""
+    return unmix64(h) ^ spec.key()
 
 
 def cut_value(powers: np.ndarray, mask: int) -> float:

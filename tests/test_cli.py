@@ -351,21 +351,53 @@ def test_probe_unif_stats_full_coverage(tmp_path):
     ["unif-stats", "--d", "50", "--r", "nan"],
     ["unif-stats", "--d", "50", "--r", "inf"],
     ["unif-stats", "--d", "50", "--trials", "0"],
+    ["unif-stats", "--d", "50", "--t", "4", "--trials", "20", "--r", "1e308"],
     ["rate", "--r", "nan", "--trials", "5"],
-], ids=["unif-stats-r-nan", "unif-stats-r-inf", "unif-stats-no-trials", "rate-r-nan"])
+], ids=["unif-stats-r-nan", "unif-stats-r-inf", "unif-stats-no-trials",
+        "unif-stats-squares-overflow", "rate-r-nan"])
 def test_probe_bad_sizes_are_quiet_precondition_errors(tmp_path, argv):
     # the unif-stats cases used to exit 0 with nan or inf statistics, the last
-    # one after two numpy RuntimeWarnings
+    # two after two numpy RuntimeWarnings; under -W error a warning would be
+    # a traceback
     mpath = tmp_path / "map.csv"
     io.write_dense_map_csv(str(mpath), np.random.default_rng(0).standard_normal((6, 50)))
     out = tmp_path / "o.csv"
     src = str(Path(sparse_sketch.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-W", "default", "-m", "sparse_sketch.cli", "probe",
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "sparse_sketch.cli", "probe",
                           *argv, "--input", str(mpath), "--output", str(out)],
                          capture_output=True, text=True, timeout=30,
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 3, run.stderr
     assert "Warning" not in run.stderr and "Traceback" not in run.stderr
+    assert not out.exists()
+
+
+def test_probe_unif_stats_mean_survives_an_overflowing_sum(tmp_path):
+    # every squared norm is finite and so is their mean, only their sum is not
+    from sparse_sketch.probes import UnifSpec, unif_draws
+    _, values = unif_draws(UnifSpec(t=1, r=1e307, d=50, seed=1), 20)
+    with np.errstate(over="ignore"):
+        sq_norms = np.sum(values * values, axis=1)
+        assert np.isfinite(sq_norms).all() and not np.isfinite(sq_norms.sum())
+    out = tmp_path / "o.csv"
+    src = str(Path(sparse_sketch.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "sparse_sketch.cli", "probe",
+                          "unif-stats", "--d", "50", "--t", "1", "--trials", "20",
+                          "--r", "1e307", "--seed", "1", "--output", str(out)],
+                         capture_output=True, text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert f"# mean_sq_norm: {float((sq_norms / 20).sum())!r}" in read_lines(str(out))
+
+
+@pytest.mark.parametrize("task", ["diameter", "maxcut", "cluster-cost"])
+def test_apps_zero_trials_is_a_precondition_error(tmp_path, capsys, task):
+    # used to exit 0 with a header and no rows
+    data, _ = write_data(tmp_path)
+    out = tmp_path / "o.csv"
+    rc, err = _run(["apps", task, "--input", data, "--output", str(out), "--trials", "0",
+                    "--clusters", "0,1,0,1,0,1"], capsys)
+    assert rc == 3 and "need at least one trial" in err
     assert not out.exists()
 
 
@@ -703,5 +735,5 @@ def test_cli_digest_script_prints_one_digest_per_command():
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 27
+    assert len(lines) == 28
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from sparse_sketch import hashing
 from sparse_sketch.hashing import (
     HashSpec,
     bucket_grid,
@@ -36,6 +37,29 @@ def test_scalar_and_vector_paths_agree():
     scalar = [hash_bucket(spec, int(j)) for j in idx]
     assert scalar == bucket_grid(321, 5, idx, 101)[4].tolist()
     assert scalar == bucket_grid(321, 1, idx, 101, start=4)[0].tolist()
+
+
+@pytest.mark.parametrize("m", [1, 3, 2**32 + 1, 2**62 - 1])
+def test_grid_remainder_matches_the_scalar_hash(m):
+    # bucket_grid takes h % m as h - (h // m) * m
+    idx = np.array([0, 1, 3, 777, 10**12, 2**62 - 1, 2**64 - 1], dtype=np.uint64)
+    grid = bucket_grid(99, 4, idx, m, start=2)
+    assert grid.dtype == np.int64
+    for c in range(4):
+        spec = HashSpec(seed=99, copy_index=2 + c, m=m)
+        assert grid[c].tolist() == [hash_bucket(spec, int(j)) for j in idx]
+
+
+def test_grid_is_fresh_and_the_cached_copy_keys_read_only():
+    idx = np.arange(20, dtype=np.uint64)
+    expect = bucket_grid(5, 3, idx, 17).tolist()
+    grid = bucket_grid(5, 3, idx, 17)
+    grid[:] = -1  # a caller owns its grid
+    assert bucket_grid(5, 3, idx, 17).tolist() == expect
+    keys = hashing._copy_keys(5, 0, 3)
+    assert keys.tolist() == [HashSpec(5, c, 17).key() for c in range(3)]
+    with pytest.raises(ValueError):
+        keys[0] = 1
 
 
 def test_grid_rows_match_per_copy_specs():

@@ -19,6 +19,7 @@ from sparse_sketch.pairwise import (
 from sparse_sketch.vectors import INF, SparseVector, lp_dist
 
 from helpers import (
+    index_hashing_to,
     naive_stack_linf,
     naive_stack_pair_powers,
     pair_copy_tables,
@@ -264,6 +265,64 @@ def test_engine_difference_collapsing_into_one_bucket_stays_nonnegative():
         assert sums[0, 1] >= 0.0 and sums[1, 0] >= 0.0
         # the corrections cancel 300 copies of the true distance
         assert sums[0, 1] == pytest.approx(0.0, abs=1e-12 * 300 * lp_dist(x, y, p) ** p)
+
+
+@pytest.mark.parametrize("rows, k, m", [
+    (64, 951, 10_000),  # the criterion-03 block: every row holds a shared bucket
+    (64, 40, 7),  # heavy ties
+    (40, 30, 10_000),  # some rows shared, some not
+    (9, 17, 1 << 40),
+    (5, 2, 1),
+    (3, 1, 5),  # one column: nothing to share
+])
+def test_fused_sort_equals_the_stable_argsort(rows, k, m):
+    grid = np.random.default_rng(rows * k).integers(0, m, size=(rows, k))
+    bits = max(1, (k - 1).bit_length())
+    fused = pairwise._shared_rows(grid.copy(), bits)
+    fallback = pairwise._shared_rows(grid.copy(), None)
+    for a, b in zip(fused, fallback):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the definition: shared rows of the sorted grid, ties in column order
+    order = np.argsort(grid, axis=1, kind="stable")
+    buckets = np.take_along_axis(grid, order, 1)
+    same = buckets[:, 1:] == buckets[:, :-1]
+    dup = np.flatnonzero(same.any(axis=1))
+    assert np.array_equal(fused[0], dup)
+    assert np.array_equal(fused[1], same[dup])
+    assert np.array_equal(fused[2], order[dup])
+
+
+def test_engine_at_an_m_too_large_to_fuse_keys(monkeypatch):
+    # seven coordinates take bits = 3, so (bucket << 3) | column overflows
+    # int64 from m = 2^60 + 1 on and the walk takes its stable argsort; at
+    # such an m the collisions are made by inverting the hash
+    m, seed = (1 << 60) + 1, 11
+    spec = HashSpec(seed, 0, m)
+    hashes = [5, 5 + m, 5 + 2 * m, 9, 9 + 3 * m, 123_456_789, 987_654_321]
+    j = [index_hashing_to(spec, h) for h in hashes]
+    assert [hash_bucket(spec, i) for i in j] == [h % m for h in hashes]
+    dim = 1 << 64
+    vecs = [SparseVector.from_pairs(pairs, dim) for pairs in (
+        {j[0]: 1.0, j[1]: 3.0, j[3]: 2.0, j[5]: 1.0},
+        {j[1]: 2.0, j[2]: 5.0, j[4]: 1.0},
+        {j[0]: 4.0, j[2]: 1.0, j[3]: 2.0, j[6]: 3.0},
+        {j[4]: 7.0},
+        {j[0]: 0.5, j[1]: 0.25, j[2]: 2.0},
+    )]
+    seen = []
+    real = pairwise._shared_rows
+    monkeypatch.setattr(pairwise, "_shared_rows",
+                        lambda grid, bits: seen.append(bits) or real(grid, bits))
+    ps = [1.0, 2.0, 3.0]
+    got = stacked_power_sums(vecs, m, 1, seed, ps)
+    linf = stacked_linf(vecs, m, 1, seed)
+    assert seen == [None, None]
+    for a in range(len(vecs)):
+        for b in range(a + 1, len(vecs)):
+            tables = pair_copy_tables(vecs[a], vecs[b], m, 1, seed, ps=ps, with_linf=True)
+            for p in ps:
+                assert got[p][a, b] == pytest.approx(float(tables[p].sum()), rel=1e-12)
+            assert linf[a, b] == float(tables["inf"].max())
 
 
 def test_engine_rejects_unkeyable_copy_counts():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""sha256 digests of 28 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 30 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
@@ -15,7 +15,9 @@ norm against zero is finite only if the stacked estimate is scaled by its
 largest difference. Embeddings wider than 10^5 and 10^6 cells hash six-
 and seven-digit column names, and an estimator of m = 15,000 buckets
 answers queries whose dense per-bucket dots would be longer than the
-10,000 elements above which OpenBLAS splits a dot across its threads. The
+10,000 elements above which OpenBLAS splits a dot across its threads. Two
+`probe rate` runs on a fixed Gaussian map pin the p = 2 Gram path (at
+`--jobs 3`, which must not move a bit) and the p = 3 per-trial path. The
 path-valued keys of each `# config:` line are dropped before hashing, so
 the digests do not depend on where the files live, and two checkouts
 compare with one diff:
@@ -38,12 +40,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from sparse_sketch import io  # noqa: E402
 from sparse_sketch.cli import main  # noqa: E402
 from sparse_sketch.datagen import random_discrete_dataset, random_nonneg_dataset  # noqa: E402
+from sparse_sketch.probes import gaussian_map  # noqa: E402
 
 PATH_KEYS = ("input", "output", "params", "queries")
 CLUSTERS = ["--clusters", "0,1,0,1,2,2,0,1"]
 WIDE_CLUSTERS = ["--clusters", ",".join(str(i % 4) for i in range(40))]
 
-# label -> argv; DATA, QUERIES, SIGNED and WIDE name the generated datasets
+# label -> argv; DATA, QUERIES, SIGNED and WIDE name the generated datasets,
+# MAP the generated dense map
 COMMANDS = {
     "embed all-p": ["embed", "--input", "DATA", "--eps", "0.9", "--seed", "7"],
     "distort p 1": ["distort", "--input", "DATA", "--p", "1"],
@@ -72,6 +76,10 @@ COMMANDS = {
     "apps dist-est m 15000": ["apps", "dist-est", "--input", "DATA", "--queries", "QUERIES",
                               "--eps", "0.2"],
     "probe unif-stats": ["probe", "unif-stats", "--d", "50", "--t", "4", "--trials", "20"],
+    "probe rate p 2 jobs 3": ["probe", "rate", "--input", "MAP", "--t", "6", "--gamma", "0.3",
+                              "--trials", "200", "--jobs", "3"],
+    "probe rate p 3": ["probe", "rate", "--input", "MAP", "--p", "3", "--t", "6",
+                       "--gamma", "0.3", "--trials", "200"],
     "signed distort discrete": ["distort", "--input", "SIGNED", "--mode", "discrete",
                                 "--delta", "1", "--p", "1", "--eps", "0.5"],
     "signed distort p inf": ["distort", "--input", "SIGNED", "--p", "inf",
@@ -118,6 +126,8 @@ def run(tmp: str) -> list[str]:
     for name, dataset in files.items():
         paths[name] = os.path.join(tmp, name.lower() + ".tsv")
         io.write_dataset_text(paths[name], dataset)
+    paths["MAP"] = os.path.join(tmp, "map.csv")
+    io.write_dense_map_csv(paths["MAP"], gaussian_map(12, 64, seed=5).matrix)
     lines = []
     for k, (label, argv) in enumerate(COMMANDS.items()):
         out = os.path.join(tmp, f"out{k}.csv")

@@ -261,24 +261,19 @@ def cmd_apps(args) -> int:
 def cmd_probe(args) -> int:
     config = _config(args)
     if args.task == "rate":
-        matrix = io.read_dense_map_csv(args.input)
-        lin_map = DenseLinearMap(matrix)
+        lin_map = DenseLinearMap(io.read_dense_map_csv(args.input))
         spec = UnifSpec(t=args.t, r=args.r, d=lin_map.cols, seed=args.seed)
         p = args.p if args.p is not None else 2.0
-        stats, passes = preservation_trials(lin_map, spec, p, args.gamma,
-                                            args.trials, jobs=args.jobs)
+        stats, passes = preservation_trials(lin_map, spec, p, args.gamma, args.trials)
         rows = [(i, float(stats[i]), int(passes[i])) for i in range(len(stats))]
         trailers = [f"rate: {float(passes.mean())!r}"]
-        io.write_report(args.output, config, ["trial", "stat", "pass"], rows, trailers)
     elif args.task == "violation":
-        matrix = io.read_dense_map_csv(args.input)
-        lin_map = DenseLinearMap(matrix)
+        lin_map = DenseLinearMap(io.read_dense_map_csv(args.input))
         witness = find_linf_violation(lin_map)
         attained = float(np.abs(lin_map.apply_sparse(witness)).max())
         rows = [(0, attained, 1)]
         trailers = ["support: " + " ".join(str(i) for i in witness.indices),
                     f"linf: {attained!r}"]
-        io.write_report(args.output, config, ["trial", "stat", "pass"], rows, trailers)
     else:  # unif-stats
         if not args.d:
             raise ParseError("unif-stats needs --d")
@@ -300,7 +295,7 @@ def cmd_probe(args) -> int:
             f"mean_sq_norm: {mean_sq!r}",
             f"expected_sq_norm: {expected!r}",
         ]
-        io.write_report(args.output, config, ["trial", "stat", "pass"], rows, trailers)
+    io.write_report(args.output, config, ["trial", "stat", "pass"], rows, trailers)
     return 0
 
 
@@ -359,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, default=None, help="ambient dimension (unif-stats)")
     sp.add_argument("--gamma", type=float, default=0.0, help="relative tolerance (0 = exact)")
     sp.add_argument("--jobs", type=int, default=1,
-                    help="deterministic trial shards (results independent of count)")
+                    help="accepted for compatibility and echoed in # config:; "
+                         "no effect, every trial runs in one stream")
     sp.set_defaults(func=cmd_probe)
     return parser
 

@@ -26,6 +26,7 @@ from .vectors import INF, SparseVector, _check_p, _dense_norm, _read_only
 
 _EXACT_RTOL = 1e-9
 _SUPPORT_DENSE_BUDGET = 20_000_000
+_GRAM_CELLS = 1 << 20  # Gram entries gathered per block of trials (8 MB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +87,33 @@ def _support_matrix(rng: np.random.Generator, trials: int, d: int, t: int) -> np
     return np.asarray(rows, dtype=np.int64)
 
 
-def unif_draws(spec: UnifSpec, trials: int, shard: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def unif_draws(spec: UnifSpec, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """`trials` draws as (supports, values) arrays of shape (trials, t).
 
-    The stream is a pure function of (spec.seed, shard): identical inputs
+    The stream is a pure function of (spec, trials): identical inputs
     reproduce identical draws, across runs and processes.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    rng = np.random.default_rng(derive_seed(spec.seed, 0xD14A, shard))
+    rng = np.random.default_rng(derive_seed(spec.seed, 0xD14A, 0))
     supports = _support_matrix(rng, trials, spec.d, spec.t)
     values = rng.normal(0.0, math.sqrt(spec.r), size=(trials, spec.t))
     return supports, values
+
+
+def _gram_norms(lin_map: DenseLinearMap, supports: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """||A x|| of each draw as top * sqrt(u^T G_s u), u = x / top, with G the
+    Gram matrix A^T A; scaled as `_dense_norm` is, so it is finite wherever
+    the norm is. At most _GRAM_CELLS entries of G are gathered at once."""
+    gram = lin_map.matrix.T @ lin_map.matrix
+    top = np.abs(values).max(axis=1)
+    u = values / np.where(top > 0.0, top, 1.0)[:, None]
+    quad = np.empty(len(values))
+    step = max(1, _GRAM_CELLS // values.shape[1] ** 2)
+    for lo in range(0, len(values), step):
+        s, ub = supports[lo:lo + step], u[lo:lo + step]
+        quad[lo:lo + step] = np.einsum("bi,bij,bj->b", ub, gram[s[:, :, None], s[:, None, :]], ub)
+    return top * np.sqrt(np.maximum(quad, 0.0))
 
 
 def preservation_trials(
@@ -106,7 +122,6 @@ def preservation_trials(
     p,
     gamma: float,
     trials: int,
-    jobs: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial relative deviation statistics and pass flags.
 
@@ -115,59 +130,36 @@ def preservation_trials(
     p-th powers for finite p (so p = 2 compares squared Euclidean norms),
     and of the plain max norm for p = INF.
 
-    Trials are sharded deterministically by (seed, shard); `jobs` only
-    changes the shard count, never the results.
+    The draws are one `unif_draws(spec, trials)` stream, so the results are
+    a pure function of the arguments. At p = 2 on at most 4096 columns the
+    embedded norms come from the Gram matrix, in blocks of trials of bounded
+    size; elsewhere from one `A[:, s] @ x` product per trial.
     """
     p = _check_p(p)
     if lin_map.cols != spec.d:
         raise PreconditionError(f"map has {lin_map.cols} columns but draws live in dimension {spec.d}")
     if gamma < 0:
         raise PreconditionError("gamma must be >= 0")
-    jobs = max(1, min(jobs, trials))
-    sizes = [trials // jobs + (1 if i < trials % jobs else 0) for i in range(jobs)]
-
-    stats_parts, pass_parts = [], []
-    use_gram = p == 2 and lin_map.cols <= 4096
-    gram = lin_map.matrix.T @ lin_map.matrix if use_gram else None
-    for shard, size in enumerate(sizes):
-        supports, values = unif_draws(spec, size, shard=shard)
-        if use_gram:
-            sub = gram[supports[:, :, None], supports[:, None, :]]
-            emb_sq = np.einsum("bi,bij,bj->b", values, sub, values)
-            emb_sq = np.maximum(emb_sq, 0.0)
-            true_sq = np.sum(values * values, axis=1)
-            if gamma == 0.0:
-                stat = np.abs(np.sqrt(emb_sq) - np.sqrt(true_sq)) / np.sqrt(true_sq)
-                ok = stat <= _EXACT_RTOL
-            else:
-                stat = np.abs(emb_sq - true_sq) / true_sq
-                ok = stat <= gamma
+    supports, values = unif_draws(spec, trials)
+    nt = _dense_norm(values, p)
+    if p == 2 and lin_map.cols <= 4096:
+        ne = _gram_norms(lin_map, supports, values)
+    else:
+        ne = np.array([_dense_norm(lin_map.matrix[:, s] @ v, p) for s, v in zip(supports, values)])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # nt = 0: set below
+        if gamma == 0.0 or p == INF:
+            stat = np.abs(ne - nt) / nt
         else:
-            stat = np.empty(size)
-            ok = np.empty(size, dtype=bool)
-            for i in range(size):
-                emb = lin_map.matrix[:, supports[i]] @ values[i]
-                ne, nt = _dense_norm(emb, p), _dense_norm(values[i], p)
-                if nt == 0.0:
-                    stat[i], ok[i] = (0.0, ne == 0.0)
-                elif gamma == 0.0:
-                    stat[i] = abs(ne - nt) / nt
-                    ok[i] = stat[i] <= _EXACT_RTOL
-                elif p == INF:
-                    stat[i] = abs(ne - nt) / nt
-                    ok[i] = stat[i] <= gamma
-                else:
-                    with np.errstate(over="ignore"):  # inf beyond float range: a fail
-                        stat[i] = abs(np.float64(ne / nt) ** p - 1.0)
-                    ok[i] = stat[i] <= gamma
-        stats_parts.append(stat)
-        pass_parts.append(ok)
-    return np.concatenate(stats_parts), np.concatenate(pass_parts)
+            stat = np.abs(np.float_power(ne / nt, p) - 1.0)  # inf beyond float range: a fail
+    ok = stat <= (_EXACT_RTOL if gamma == 0.0 else gamma)
+    zero = nt == 0.0
+    stat[zero], ok[zero] = 0.0, ne[zero] == 0.0
+    return stat, ok
 
 
-def preservation_rate(lin_map, spec, p, gamma, trials, jobs: int = 1) -> float:
+def preservation_rate(lin_map, spec, p, gamma, trials) -> float:
     """Fraction of draws whose norm the map preserves to tolerance gamma."""
-    _, ok = preservation_trials(lin_map, spec, p, gamma, trials, jobs=jobs)
+    _, ok = preservation_trials(lin_map, spec, p, gamma, trials)
     return float(ok.mean())
 
 
@@ -204,18 +196,15 @@ def find_linf_violation(lin_map: DenseLinearMap) -> SparseVector:
     if not (large_pos | large_neg).any(axis=0).all():
         bad = int(np.flatnonzero(~(large_pos | large_neg).any(axis=0))[0])
         raise PreconditionColumns(f"column {bad} has no entry with |value| >= 1/2")
-    pos_counts = large_pos.sum(axis=1)
-    neg_counts = large_neg.sum(axis=1)
-    best_row, best_sign, best_count = -1, 0.0, -1
-    for row in range(m):
-        for sign, count in ((1.0, pos_counts[row]), (-1.0, neg_counts[row])):
-            if count > best_count:
-                best_row, best_sign, best_count = row, sign, int(count)
-    if best_count < 10:
+    # (row 0 +, row 0 -, row 1 +, ...): the first maximum is the tie rule
+    counts = np.stack([large_pos.sum(axis=1), large_neg.sum(axis=1)], axis=1).ravel()
+    best = int(np.argmax(counts))
+    best_row, negative = divmod(best, 2)
+    if counts[best] < 10:
         raise InternalCheckError(
-            f"pigeonhole failed: best same-signed row has only {best_count} large entries"
+            f"pigeonhole failed: best same-signed row has only {counts[best]} large entries"
         )
-    mask = large_pos[best_row] if best_sign > 0 else large_neg[best_row]
+    mask = (large_neg if negative else large_pos)[best_row]
     cols = np.flatnonzero(mask)[:10]
     witness = SparseVector(tuple(int(c) for c in cols), (1.0,) * 10, d)
     image = mat[:, cols].sum(axis=1)

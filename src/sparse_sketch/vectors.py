@@ -45,18 +45,23 @@ def _reduce_abs(abs_vals: Iterable[float], p: float) -> float:
     return top * acc ** (1.0 / p)
 
 
-def _dense_norm(arr: np.ndarray, p, copies: int = 1) -> float:
+def _dense_norm(arr: np.ndarray, p, copies: int = 1) -> float | np.ndarray:
     """top * (sum (|a| / top)^p / copies)^(1/p), or the max at p = INF: the
     same scaled norm over an array, summed by numpy (so its last bits can
     differ from the scalar loop above). With copies = T it is the stacked
-    per-copy mean, finite at any p; copies = 1 divides exactly."""
+    per-copy mean, finite at any p; copies = 1 divides exactly.
+
+    A 1-D array gives a float; a 2-D array gives the norm of each row, each
+    equal to the float its row gives alone (the root is `np.float_power`,
+    which rounds as the scalar power does, where array `**` need not)."""
     a = np.abs(arr)
-    top = float(a.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
+    top = a.max(axis=-1, initial=0.0)
     if p == INF:
-        return top
-    return top * (float(np.sum((a / top) ** p)) / copies) ** (1.0 / p)
+        norms = top
+    else:
+        scale = np.where(top > 0.0, top, 1.0)[..., None]  # an all-zero row stays 0
+        norms = top * np.float_power(np.sum((a / scale) ** p, axis=-1) / copies, 1.0 / p)
+    return float(norms) if a.ndim == 1 else norms
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

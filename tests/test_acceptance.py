@@ -542,7 +542,7 @@ def test_14_cli_determinism(tmp_path):
                 line for line in body.split(b"\n")
                 if not line.startswith(b"# config")))
         identical = identical and outs[0] == outs[1]
-    # sharded trials reproduce the same pooled rate for any job count
+    # --jobs is echoed in # config: and leaves the rate unchanged
     with open(str(tmp_path / "rate1_a.csv"), "rb") as fh:
         rate1 = [l for l in fh.read().split(b"\n") if l.startswith(b"# rate")]
     with open(str(tmp_path / "rate4_a.csv"), "rb") as fh:

@@ -296,25 +296,39 @@ def test_probe_rate_identity_matrix(tmp_path):
 
 
 def test_probe_rate_deterministic_across_jobs(tmp_path):
+    # --jobs is echoed in # config: and changes nothing else; it used to
+    # re-seed one draw stream per shard (rate 0.0167 at --jobs 1, 0.05 at 3)
     mpath = str(tmp_path / "map.csv")
     rng = np.random.default_rng(0)
     io.write_dense_map_csv(mpath, rng.standard_normal((6, 40)))
-    outs = []
-    for jobs in ("1", "3"):
-        out = str(tmp_path / f"rate{jobs}.csv")
+    bodies = []
+    for k, jobs in enumerate(("1", "3", "3", "4")):
+        out = str(tmp_path / f"rate{k}.csv")
         rc = main(["probe", "rate", "--input", mpath, "--output", out, "--t", "4",
                    "--gamma", "0.3", "--trials", "60", "--jobs", jobs, "--seed", "2"])
         assert rc == 0
         body = read_lines(out).splitlines()
-        outs.append([l for l in body if not l.startswith("# config")])
-    # shard layout differs but the pooled rate is seed-determined per layout;
-    # identical invocations must be byte-identical
-    out_again = str(tmp_path / "rate3b.csv")
-    rc = main(["probe", "rate", "--input", mpath, "--output", out_again, "--t", "4",
-               "--gamma", "0.3", "--trials", "60", "--jobs", "3", "--seed", "2"])
-    assert rc == 0
-    body_again = [l for l in read_lines(out_again).splitlines() if not l.startswith("# config")]
-    assert body_again == outs[1]
+        bodies.append([l for l in body if not l.startswith("# config")])
+    assert bodies[0][-1] == "# rate: 0.016666666666666666"
+    assert all(body == bodies[0] for body in bodies)
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_probe_rate_huge_variance_is_finite_and_quiet(tmp_path, p):
+    # at p = 2 the Gram path squared the raw draws: exit 0 after three
+    # RuntimeWarnings, with inf and nan stat cells
+    mpath = tmp_path / "map.csv"
+    io.write_dense_map_csv(str(mpath), np.random.default_rng(0).standard_normal((6, 40)))
+    out = tmp_path / "o.csv"
+    src = str(Path(sparse_sketch.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "sparse_sketch.cli", "probe",
+                          "rate", "--p", p, "--r", "1e308", "--gamma", "0.1", "--t", "4",
+                          "--trials", "50", "--input", str(mpath), "--output", str(out)],
+                         capture_output=True, text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    _, rows = csv_rows(str(out))
+    assert len(rows) == 50 and all(np.isfinite(float(r[1])) for r in rows)
 
 
 def test_probe_violation_reports_witness(tmp_path):
@@ -735,5 +749,5 @@ def test_cli_digest_script_prints_one_digest_per_command():
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 28
+    assert len(lines) == 30
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

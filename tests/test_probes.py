@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sparse_sketch import probes
 from sparse_sketch.errors import (
     InternalCheckError,
     PreconditionColumns,
@@ -109,29 +111,50 @@ def test_birthday_map_high_exact_rate():
     assert rate >= 0.97
 
 
-def test_sharding_does_not_change_results():
+def test_sharding_does_not_change_results(monkeypatch):
+    # the Gram path evaluates its trials in blocks; the block size, like the
+    # CLI's --jobs, must not move a single bit
     d = 30
     lin = gaussian_map(8, d, seed=9)
     spec = UnifSpec(t=5, r=1.0, d=d, seed=13)
-    s1, p1 = preservation_trials(lin, spec, 2, 0.2, 100, jobs=1)
-    s3, p3 = preservation_trials(lin, spec, 2, 0.2, 100, jobs=3)
-    # shards reseed per shard, so pooled rate agrees while per-trial order
-    # within shards stays deterministic for each job count
-    r1 = preservation_trials(lin, spec, 2, 0.2, 100, jobs=3)
-    assert np.array_equal(s3, r1[0]) and np.array_equal(p3, r1[1])
-    assert abs(p1.mean() - p3.mean()) <= 0.25
+    s1, p1 = preservation_trials(lin, spec, 2, 0.2, 100)
+    for trials_per_block in (1, 3):
+        monkeypatch.setattr(probes, "_GRAM_CELLS", trials_per_block * spec.t ** 2)
+        s3, p3 = preservation_trials(lin, spec, 2, 0.2, 100)
+        assert np.array_equal(s1, s3) and np.array_equal(p1, p3)
 
 
 def test_general_p_path_agrees_with_gram_shortcut():
     d = 25
     lin = gaussian_map(10, d, seed=3)
-    spec = UnifSpec(t=4, r=1.0, d=d, seed=6)
-    stats_fast, ok_fast = preservation_trials(lin, spec, 2, 0.3, 50)
-    # p marginally off 2 routes through the per-trial matvec path with the
-    # same draws; the squared-norm statistics must agree to roundoff
-    stats_slow, ok_slow = preservation_trials(lin, spec, 2.0 + 1e-13, 0.3, 50)
-    assert np.allclose(stats_fast, stats_slow, rtol=1e-6, atol=1e-9)
-    assert np.array_equal(ok_fast, ok_slow)
+    for r in (1.0, 1e300):
+        spec = UnifSpec(t=4, r=r, d=d, seed=6)
+        stats_fast, ok_fast = preservation_trials(lin, spec, 2, 0.3, 50)
+        # p marginally off 2 routes through the per-trial matvec path with the
+        # same draws; the squared-norm statistics must agree to roundoff
+        stats_slow, ok_slow = preservation_trials(lin, spec, 2.0 + 1e-13, 0.3, 50)
+        assert np.allclose(stats_fast, stats_slow, rtol=1e-6, atol=1e-9)
+        assert np.array_equal(ok_fast, ok_slow)
+
+
+def test_gram_path_memory_does_not_grow_with_trials_times_t_squared():
+    # a (trials, t, t) gather of Gram entries would add t^2 * 8 = 32 KB per
+    # trial here; the draws and norms take under 2 KB per trial
+    t, d = 64, 128
+    lin = gaussian_map(6, d, seed=1)
+    spec = UnifSpec(t=t, r=1.0, d=d, seed=2)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            preservation_trials(lin, spec, 2, 0.1, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 500, 2000
+    growth = peak(large) - peak(small)
+    assert growth < (large - small) * t * t * 8 / 4
 
 
 # --- gram overlap
@@ -185,6 +208,17 @@ def test_witness_on_random_sign_matrices():
         attained = np.abs(lin.apply_sparse(witness)).max()
         assert attained >= 5.0
         assert witness.max_value() == 1.0
+
+
+def test_witness_ties_go_to_the_lowest_row_then_the_positive_sign():
+    d = 1000
+    mat = np.zeros((4, d))
+    mat[0] = np.where(np.arange(d) < d // 2, 1.0, -1.0)  # + on 0..499, - on 500..999
+    mat[1] = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)  # + on even, - on odd
+    # all four (row, sign) pairs hold 500 large entries, on different supports
+    assert find_linf_violation(DenseLinearMap(mat)).indices == tuple(range(10))
+    mat[0, 0] = 0.0  # row 0 + drops to 499: row 0 - still beats row 1 +
+    assert find_linf_violation(DenseLinearMap(mat)).indices == tuple(range(500, 510))
 
 
 def test_witness_is_deterministic():

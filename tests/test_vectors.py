@@ -10,6 +10,7 @@ from sparse_sketch.vectors import (
     INF,
     Dataset,
     SparseVector,
+    _dense_norm,
     diff_vectors,
     lp_dist,
     lp_norm,
@@ -161,6 +162,25 @@ def test_large_p_approximates_max_norm():
             zip(np.sort(rng.choice(d, 40, replace=False)).tolist(), vals.tolist()), d)
         ratio = lp_norm(x, p) / lp_norm(x, INF)
         assert 1.0 - eps < ratio < 1.0 + eps
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2.5, 400.0, INF])
+@pytest.mark.parametrize("copies", [1, 7])
+def test_dense_norm_rows_equal_their_one_dimensional_floats(p, copies):
+    rows = np.random.default_rng(5).standard_normal((40, 9)) * 1e150
+    rows[3] = 0.0
+
+    def reference(a):  # the one-row form, Python's float power for the root
+        a = np.abs(a)
+        top = float(a.max())
+        if top == 0.0 or p == INF:
+            return top
+        return top * (float(np.sum((a / top) ** p)) / copies) ** (1.0 / p)
+
+    expected = [reference(r) for r in rows]
+    assert [_dense_norm(r, p, copies) for r in rows] == expected
+    assert all(type(_dense_norm(r, p, copies)) is float for r in rows)
+    assert _dense_norm(rows, p, copies).tolist() == expected
 
 
 # --- dataset

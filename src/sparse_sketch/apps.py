@@ -6,15 +6,22 @@ sublinear distance-sum estimation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .embeddings import MaxHashMap, landed_buckets, max_embed, require_cells
 from .errors import PatternBudgetError, PreconditionError
-from .hashing import HashSpec
-from .pairwise import lp_dists, pairwise_power_dists, stacked_image, stacked_power_sums
+from .hashing import HashSpec, bucket_grid
+from .pairwise import (
+    _max_pool_keys,
+    _run_starts,
+    lp_dists,
+    pairwise_power_dists,
+    stacked_image,
+    stacked_power_sums,
+)
 from .vectors import (
     INF,
     Dataset,
@@ -28,6 +35,7 @@ OBJECTIVES = ("median", "means", "center")
 
 _MAXCUT_LIMIT = 22
 _PATTERN_BUDGET = 24
+_IMAGE_BLOCK = 1 << 16  # (stored entry, repetition) cells per estimator build block
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +317,20 @@ def clustering_cost(dataset: Dataset, clustering: Clustering, centers: str = "ba
 class DistanceEstimator:
     """Sublinear estimator of sum_x ||x - y||_p^p for even p.
 
-    Per repetition j it stores, for every bucket i and exponent e <= p, the
-    dataset power sums S_e = sum_x f_j(x)_i^e (with 0^0 := 1, so the e = 0
-    slot is the dataset size). A query expands sum_x ||f_j(x) - f_j(y)||_p^p
-    binomially as sum_i sum_k (-1)^k C(p, k) f_j(y)_i^k S_{p-k}. The k = 0
-    term, S_p summed over all buckets, does not depend on y and is kept per
-    repetition in `totals`; the k >= 1 terms vanish off the buckets y lands
-    in. So a query reads R totals and p cells per landed bucket
-    (`query_cells`), clamps each repetition's estimate at 0 and returns the
-    lower median over repetitions.
+    Per repetition j, bucket i and exponent e <= p the tables hold the
+    dataset power sums S_e = sum_x f_j(x)_i^e (with 0^0 := 1, so S_0 is the
+    dataset size). A query expands sum_x ||f_j(x) - f_j(y)||_p^p binomially
+    as sum_i sum_k (-1)^k C(p, k) f_j(y)_i^k S_{p-k}. The k = 0 term, S_p
+    summed over all buckets, does not depend on y and is kept per repetition
+    in `totals`; the k >= 1 terms vanish off the buckets y lands in. So a
+    query reads R totals and p cells per landed bucket (`query_cells`),
+    clamps each repetition's estimate at 0 and returns the lower median over
+    repetitions.
+
+    Only the keys rep * m + bucket that some dataset coordinate lands on
+    have a row of their own in `rows`, in key order after row 0, the absent
+    row (n, 0, ..., 0) that every other key shares. `slots` holds each of
+    the R * m keys' row, so a query gathers its cells in one step.
     """
 
     p: int
@@ -325,14 +338,15 @@ class DistanceEstimator:
     R: int
     seed: int
     m: int
-    power_sums: np.ndarray  # (R, m, p + 1); [..., e] = sum of e-th powers
     dim: int
-    totals: np.ndarray = field(init=False, compare=False, repr=False)  # (R,) k = 0 terms
+    slots: np.ndarray  # (R * m,) int32; the row of each key
+    rows: np.ndarray  # (landed keys + 1, p + 1); [:, e] = S_e
+    totals: np.ndarray  # (R,) the k = 0 terms
 
     def __post_init__(self):
-        # the k = 0 terms, summed once; both read-only, so they cannot go stale
-        object.__setattr__(self, "power_sums", _read_only(self.power_sums))
-        object.__setattr__(self, "totals", _read_only(self.power_sums[:, :, self.p].sum(axis=1)))
+        # read-only, so the totals cannot go stale
+        for name in ("slots", "rows", "totals"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     def map_for(self, rep: int) -> MaxHashMap:
         return MaxHashMap(HashSpec(self.seed, rep, self.m))
@@ -344,8 +358,7 @@ class DistanceEstimator:
         if y.dim != self.dim:
             raise PreconditionError(f"estimator built over dimension {self.dim}, got {y.dim}")
         keys, z = stacked_image(y, self.m, self.R, self.seed)  # repetition r is copy r
-        cells = np.take(self.power_sums.reshape(self.R * self.m, self.p + 1), keys, axis=0)
-        return keys, z, cells[:, :self.p]
+        return keys, z, np.take(self.rows, self.slots[keys], axis=0)[:, :self.p]
 
     def query_cells(self, y: SparseVector) -> int:
         """Table cells a query of y reads: the R totals plus p per key of
@@ -379,25 +392,75 @@ def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> Distance
         raise PreconditionError("estimator needs a non-empty dataset")
     reps = max(1, math.ceil(8.0 * math.log(max(2, n))))
     m = sketch_buckets(max(1, dataset.max_sparsity), eps)
-    require_cells(reps * m * (p + 1), "estimator tables")
-    # repetition r is copy r; vector order keeps each cell's summation order
-    power_sums = np.zeros((reps * m, p + 1))
-    power_sums[:, 0] = float(n)  # 0^0 := 1 for every bucket and vector
-    for vec in dataset.vectors:
-        keys, v = stacked_image(vec, m, reps, seed)
+    width = reps * m
+    require_cells(width, "estimator tables")  # `slots`
+    # every stored entry in vector order: its vector, coordinate rank and value
+    vecs = dataset.vectors
+    distinct, col = np.unique(np.array([i for v in vecs for i in v.indices], dtype=np.uint64),
+                              return_inverse=True)
+    vec = np.repeat(np.arange(n), [v.sparsity for v in vecs])
+    val = np.array([x for v in vecs for x in v.values], dtype=np.float64)
+    # a coordinate lands on one key per repetition, so at most
+    # reps * min(m, distinct) keys get a row after the absent row 0
+    bound = 1 + reps * min(m, len(distinct))
+    require_cells(bound * (p + 1), "estimator rows")
+    rows = np.zeros((bound, p + 1))
+    slots = np.zeros(width, dtype=np.int32)
+    totals = np.empty(reps)
+    dense = np.empty(m)
+    landed = 1
+    # blocks of repetitions hold at most _IMAGE_BLOCK (stored entry, repetition)
+    # cells; a key's row sums only its own repetition, so blocking is exact
+    step = max(1, _IMAGE_BLOCK // max(1, len(col)))
+    for start in range(0, reps, step):
+        copies = min(step, reps - start)
+        grid = bucket_grid(seed, copies, distinct, m, start=start)
+        # every vector's stacked image in vector order, from keys vec * copies
+        # * m + rep * m + bucket (below n * 2^26, CELL_BUDGET, inside int64);
+        # one row per entry, ascending in rep, so the sort merges short runs
+        keys = (vec * (copies * m))[:, None] + (np.arange(copies) * m + grid[:, col].T)
+        keys, v = _max_pool_keys(keys.ravel(), np.repeat(val, copies))
+        keys %= copies * m
+        block = np.sort(keys)
+        block = block[_run_starts(block)]  # the block's landed keys
+        here = slots[start * m:(start + copies) * m]
+        here[block] = np.arange(landed, landed + len(block), dtype=np.int32)
+        inverse = here[keys] - landed
+        span = slice(landed, landed + len(block))
+        # bincount adds in input order, so each key's powers in vector order
         ve = v
         for e in range(1, p + 1):
-            np.add.at(power_sums[:, e], keys, ve)
+            rows[span, e] = np.bincount(inverse, weights=ve, minlength=len(block))
             if e < p:
                 ve = ve * v
-    return DistanceEstimator(p=p, eps=eps, R=reps, seed=seed, m=m,
-                             power_sums=power_sums.reshape(reps, m, p + 1), dim=dataset.dim)
+        # S_p summed over each repetition's m buckets as a dense row would be,
+        # in one reused row
+        ends = np.searchsorted(block, np.arange(1, copies + 1) * m).tolist()
+        for r, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            dense[:] = 0.0
+            dense[block[lo:hi] - r * m] = rows[landed + lo:landed + hi, p]
+            totals[start + r] = dense.sum()
+        landed = span.stop
+    rows = rows[:landed]
+    rows[:, 0] = float(n)  # 0^0 := 1 for every bucket and vector
+    return DistanceEstimator(p=p, eps=eps, R=reps, seed=seed, m=m, dim=dataset.dim,
+                             slots=slots, rows=rows, totals=totals)
+
+
+def distance_sums(dataset: Dataset, ys: Sequence[SparseVector], p) -> list[float]:
+    """Brute-force sum_x ||x - y||_p^p for each y of ys, from one
+    ``lp_dists`` matrix: a Python sum of d ** p down each column, inf where
+    a p-th power leaves float range."""
+    p = _check_p(p)
+    out = []
+    for column in lp_dists(dataset.vectors, ys, p).T.tolist():
+        try:
+            out.append(float(sum(d ** p for d in column)))
+        except OverflowError:
+            out.append(math.inf)
+    return out
 
 
 def direct_distance_sum(dataset: Dataset, y: SparseVector, p) -> float:
     """Brute-force sum_x ||x - y||_p^p; the estimator's oracle."""
-    p = _check_p(p)
-    try:
-        return float(sum(d ** p for d in lp_dists(dataset.vectors, [y], p)[:, 0].tolist()))
-    except OverflowError:  # a p-th power beyond float range
-        return math.inf
+    return distance_sums(dataset, [y], p)[0]

@@ -26,7 +26,7 @@ from .apps import (
     diameter_exact,
     diameter_l1,
     diameter_linf_stream,
-    direct_distance_sum,
+    distance_sums,
     maxcut_brute,
     maxcut_sketched,
 )
@@ -240,8 +240,8 @@ def cmd_apps(args) -> int:
         p = int(p_raw)
         queries = io.read_dataset(args.queries, dim=dataset.dim)
         estimator = build_estimator(dataset, p, args.eps, args.seed)
-        for _, q in queries:
-            true = direct_distance_sum(dataset, q, p)
+        trues = distance_sums(dataset, queries.vectors, p)
+        for q, true in zip(queries.vectors, trues):
             est = estimator.query(q)
             ratio = est / true if true > 0 else None
             rows.append((args.seed, true, est, ratio))

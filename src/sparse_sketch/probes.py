@@ -138,7 +138,7 @@ def preservation_trials(
     p = _check_p(p)
     if lin_map.cols != spec.d:
         raise PreconditionError(f"map has {lin_map.cols} columns but draws live in dimension {spec.d}")
-    if gamma < 0:
+    if not gamma >= 0:  # nan too
         raise PreconditionError("gamma must be >= 0")
     supports, values = unif_draws(spec, trials)
     nt = _dense_norm(values, p)

@@ -171,6 +171,12 @@ def two_image_tables(x, y, m, T, seed, ps) -> dict:
     return out
 
 
+def dense_tables(est) -> np.ndarray:
+    """The estimator's (R, m, p + 1) power-sum table, every key's row read
+    through its slot, the absent row where no coordinate lands."""
+    return est.rows[est.slots].reshape(est.R, est.m, est.p + 1)
+
+
 def dense_dot_query(est, y) -> tuple[float, float]:
     """The estimator's query as (R, p + 1) dense dots: y's stacked image
     scattered into an (R, m) row, sum_k (-1)^k C(p, k) (z^k . S_{p-k}) per
@@ -180,12 +186,13 @@ def dense_dot_query(est, y) -> tuple[float, float]:
     z = np.zeros(est.R * est.m)
     z[keys] = v
     z = z.reshape(est.R, est.m)
+    tables = dense_tables(est)
     estimates, scales = [], []
     for rep in range(est.R):
         total = scale = 0.0
         zk = np.ones(est.m)  # z^0, with 0^0 = 1
         for k in range(est.p + 1):
-            term = math.comb(est.p, k) * float(zk @ est.power_sums[rep, :, est.p - k])
+            term = math.comb(est.p, k) * float(zk @ tables[rep, :, est.p - k])
             total += -term if k % 2 else term
             scale += term  # z and S are non-negative, so is every term
             zk = zk * z[rep]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from sparse_sketch.apps import (
     diameter_l1,
     diameter_linf_stream,
     direct_distance_sum,
+    distance_sums,
     maxcut_brute,
     maxcut_from_pair_powers,
     maxcut_sketched,
@@ -32,7 +34,7 @@ from sparse_sketch.errors import (
 )
 from sparse_sketch.vectors import INF, Dataset, SparseVector, lp_dist
 
-from helpers import cut_value, dense, dense_dot_query, two_partitions
+from helpers import cut_value, dense, dense_dot_query, dense_tables, two_partitions
 
 
 def sv(pairs, d=100):
@@ -390,8 +392,9 @@ def test_estimator_power_table_constant_slot():
     # exponent-zero slot counts the dataset in every bucket: sums to n * m
     data = random_nonneg_dataset(12, 3, 1000, seed=18)
     est = build_estimator(data, p=2, eps=0.4, seed=4)
+    tables = dense_tables(est)
     for rep in range(est.R):
-        assert float(est.power_sums[rep, :, 0].sum()) == pytest.approx(12.0 * est.m)
+        assert float(tables[rep, :, 0].sum()) == pytest.approx(12.0 * est.m)
 
 
 def test_estimator_repetition_count_and_width():
@@ -416,6 +419,7 @@ def test_estimator_lower_median_rule():
     est = build_estimator(data, p=2, eps=0.5, seed=7)
     # recompute the median by hand from per-repetition estimates
     y = data.vectors[0]
+    tables = dense_tables(est)
     per_rep = []
     for rep in range(est.R):
         z = np.zeros(est.m)
@@ -425,7 +429,7 @@ def test_estimator_lower_median_rule():
         for k in range(est.p + 1):
             sign = -1.0 if k % 2 else 1.0
             total += sign * math.comb(est.p, k) * float(
-                (z ** k) @ est.power_sums[rep, :, est.p - k])
+                (z ** k) @ tables[rep, :, est.p - k])
         per_rep.append(total)
     expect = sorted(per_rep)[(est.R - 1) // 2]
     assert est.query(y) == pytest.approx(expect, rel=1e-12)
@@ -488,7 +492,7 @@ def test_estimator_equals_the_per_copy_build(p, n, s, d, eps):
     data = random_nonneg_dataset(n, s, d, seed=40 + p)
     est = build_estimator(data, p=p, eps=eps, seed=p)
     tables, _, query, collided = per_copy_estimator(est, data)
-    assert (est.power_sums == tables).all()
+    assert (dense_tables(est) == tables).all()
     assert n == 1 or collided > 0
     for y in random_nonneg_dataset(5, s, d, seed=50 + p).vectors + data.vectors[:2]:
         answer = est.query(y)
@@ -509,6 +513,40 @@ def test_estimator_clamps_a_cancelled_self_query_to_zero(p):
     y = data.vectors[0]
     assert sorted(per_rep(y))[(est.R - 1) // 2] < 0.0
     assert est.query(y) == 0.0
+
+
+def test_estimator_build_memory_follows_the_landed_keys():
+    # at the criterion-13 data with p = 16, fewer than 6% of the R * m keys
+    # hold a coordinate; a dense table would take R * m * (p + 1) floats
+    data = random_nonneg_dataset(200, 5, 10**4, seed=1313)
+    tracemalloc.start()
+    try:
+        est = build_estimator(data, p=16, eps=0.25, seed=1323)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < est.R * est.m * (est.p + 1) * 8 / 4
+
+
+def test_estimator_rows_are_checked_against_the_cell_budget():
+    # R * m = 6 * 4,400,000 keys fit the budget, but 11,000 distinct
+    # coordinates can land on 66,000 of them, and 66,001 rows of p + 1 = 1029
+    # cells do not
+    halves = [{j: 1.0 for j in range(k, 11000, 2)} for k in (0, 1)]
+    data = ds([sv(h, d=11000) for h in halves], d=11000)
+    with pytest.raises(PreconditionError, match="estimator rows needs 67915029 cells"):
+        build_estimator(data, p=1028, eps=0.5, seed=0)
+
+
+def test_distance_sums_equal_the_per_query_sums():
+    data = random_nonneg_dataset(20, 4, 300, seed=25)
+    queries = (random_nonneg_dataset(6, 4, 300, seed=26).vectors
+               + (SparseVector.zero(300), data.vectors[0], sv({0: 1e200, 5: 2.0}, d=300)))
+    for p in (1, 2, 4, 7):
+        sums = distance_sums(data, queries, p)
+        assert sums == [direct_distance_sum(data, y, p) for y in queries]
+        assert math.isfinite(sums[-1]) == (p == 1)  # (1e200)^p overflows above p = 1
+    assert distance_sums(data, (), 2) == []
 
 
 _THREADS_PROBE = """
@@ -555,7 +593,9 @@ def test_estimator_tables_are_read_only():
     queries = data.vectors + random_nonneg_dataset(4, 2, 300, seed=24).vectors
     before = [est.query(y) for y in queries]
     with pytest.raises(ValueError, match="read-only"):
-        est.power_sums[:, :, est.p] *= 2
+        est.slots[:] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        est.rows[:, est.p] *= 2
     with pytest.raises(ValueError, match="read-only"):
         est.totals[0] = 0.0
     assert [est.query(y) for y in queries] == before

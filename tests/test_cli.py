@@ -367,8 +367,9 @@ def test_probe_unif_stats_full_coverage(tmp_path):
     ["unif-stats", "--d", "50", "--trials", "0"],
     ["unif-stats", "--d", "50", "--t", "4", "--trials", "20", "--r", "1e308"],
     ["rate", "--r", "nan", "--trials", "5"],
+    ["rate", "--gamma", "nan", "--trials", "5"],
 ], ids=["unif-stats-r-nan", "unif-stats-r-inf", "unif-stats-no-trials",
-        "unif-stats-squares-overflow", "rate-r-nan"])
+        "unif-stats-squares-overflow", "rate-r-nan", "rate-gamma-nan"])
 def test_probe_bad_sizes_are_quiet_precondition_errors(tmp_path, argv):
     # the unif-stats cases used to exit 0 with nan or inf statistics, the last
     # two after two numpy RuntimeWarnings; under -W error a warning would be
@@ -543,6 +544,17 @@ def test_over_budget_widths_are_precondition_errors(tmp_path, capsys, argv):
     rc, err = _run(argv + ["--input", data, "--output", str(out)], capsys)
     assert rc == 3 and "budget" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_dist_est_budget_counts_keys_not_exponents(tmp_path, capsys):
+    # R * m = 6 * 125,000 keys fit the cell budget, though a dense table of
+    # R * m * (p + 1) = 75,750,000 cells would not
+    data, _ = write_data(tmp_path, n=2, s=1)
+    out = str(tmp_path / "o.csv")
+    rc, err = _run(["apps", "dist-est", "--p", "100", "--eps", "0.04", "--queries", data,
+                    "--input", data, "--output", out], capsys)
+    assert rc == 0, err
+    assert len(csv_rows(out)[1]) == 2
 
 
 @pytest.mark.parametrize("argv", [

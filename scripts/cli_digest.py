@@ -16,11 +16,10 @@ largest difference. Embeddings wider than 10^5 and 10^6 cells hash six-
 and seven-digit column names, and an estimator of m = 15,000 buckets
 answers queries whose dense per-bucket dots would be longer than the
 10,000 elements above which OpenBLAS splits a dot across its threads. Two
-`probe rate` runs on a fixed Gaussian map pin the p = 2 Gram path (at
-`--jobs 3`, which must not move a bit) and the p = 3 per-trial path. The
-path-valued keys of each `# config:` line are dropped before hashing, so
-the digests do not depend on where the files live, and two checkouts
-compare with one diff:
+`probe rate` runs on a fixed Gaussian map pin the p = 2 Gram path and the
+p = 3 per-trial path. The path-valued keys of each `# config:` line are
+dropped before hashing, so the digests do not depend on where the files
+live, and two checkouts compare with one diff:
 
     python scripts/cli_digest.py > after.txt
     (cd ../other-checkout && python scripts/cli_digest.py) > before.txt
@@ -76,8 +75,8 @@ COMMANDS = {
     "apps dist-est m 15000": ["apps", "dist-est", "--input", "DATA", "--queries", "QUERIES",
                               "--eps", "0.2"],
     "probe unif-stats": ["probe", "unif-stats", "--d", "50", "--t", "4", "--trials", "20"],
-    "probe rate p 2 jobs 3": ["probe", "rate", "--input", "MAP", "--t", "6", "--gamma", "0.3",
-                              "--trials", "200", "--jobs", "3"],
+    "probe rate p 2": ["probe", "rate", "--input", "MAP", "--t", "6", "--gamma", "0.3",
+                       "--trials", "200"],
     "probe rate p 3": ["probe", "rate", "--input", "MAP", "--p", "3", "--t", "6",
                        "--gamma", "0.3", "--trials", "200"],
     "signed distort discrete": ["distort", "--input", "SIGNED", "--mode", "discrete",

@@ -3,18 +3,12 @@ vectors: max-pool hash embeddings, the linear sum-hash baseline, probes for
 the matching lower bounds, and downstream geometric applications."""
 
 from .embeddings import (
-    BirthdayMap,
     EmbedParams,
-    MaxHashMap,
     StackedEmbedding,
-    birthday_embed,
     estimate_distance,
     estimate_sum_norm,
-    max_embed,
-    max_pool,
     plan_params,
     stack_embed,
-    sum_pool,
 )
 from .errors import (
     DimensionMismatch,
@@ -42,9 +36,8 @@ from .vectors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BirthdayMap", "EmbedParams", "MaxHashMap", "StackedEmbedding", "birthday_embed",
-    "estimate_distance", "estimate_sum_norm", "max_embed", "max_pool", "plan_params",
-    "stack_embed", "sum_pool",
+    "EmbedParams", "StackedEmbedding", "estimate_distance", "estimate_sum_norm", "plan_params",
+    "stack_embed",
     "DimensionMismatch", "EmbeddingMismatch", "InternalCheckError", "NonNegativeRequired",
     "ParseError", "PatternBudgetError", "PreconditionColumns", "PreconditionError",
     "PreconditionShape", "SketchError",

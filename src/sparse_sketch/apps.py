@@ -11,9 +11,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import MaxHashMap, landed_buckets, max_embed, require_cells
+from .embeddings import require_cells
 from .errors import PatternBudgetError, PreconditionError
-from .hashing import HashSpec, bucket_grid
+from .hashing import bucket_grid
 from .pairwise import (
     _max_pool_keys,
     _run_starts,
@@ -60,7 +60,6 @@ def diameter_linf_stream(vectors: Iterable[SparseVector], s: int, seed: int) -> 
     """
     m = 100 * max(1, s)
     require_cells(m, "max-norm diameter sketch")
-    mmap = MaxHashMap(HashSpec(seed, 0, m))
     hi = np.full(m, -np.inf)
     lo = np.full(m, np.inf)
     count = np.zeros(m, dtype=np.int64)
@@ -69,7 +68,7 @@ def diameter_linf_stream(vectors: Iterable[SparseVector], s: int, seed: int) -> 
         require_nonneg(vec, what="max-norm diameter stream")
         if vec.sparsity > s:
             raise PreconditionError(f"vector has {vec.sparsity} non-zeros, budget is {s}")
-        b, v = landed_buckets(mmap, vec)
+        b, v = stacked_image(vec, m, 1, seed)
         np.maximum.at(hi, b, v)
         np.minimum.at(lo, b, v)
         count[b] += 1
@@ -126,14 +125,14 @@ def diameter_l1(dataset: Dataset, s: int, seed: int, k: int | None = None) -> fl
         raise PatternBudgetError(f"k={k} exceeds the 2^k enumeration budget of {_PATTERN_BUDGET}")
     if len(dataset) < 2:
         return 0.0
-    mmap = MaxHashMap(HashSpec(seed, 0, k))
-    rows = []
-    for _, vec in dataset:
+    rows = np.zeros((len(dataset), k))
+    for i, (_, vec) in enumerate(dataset):
         require_nonneg(vec, what="l1 diameter sketch")
         if vec.sparsity > s:
             raise PreconditionError(f"vector has {vec.sparsity} non-zeros, budget is {s}")
-        rows.append(max_embed(mmap, vec))
-    return max_sign_range(np.stack(rows))
+        keys, vals = stacked_image(vec, k, 1, seed)
+        rows[i, keys] = vals
+    return max_sign_range(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +346,6 @@ class DistanceEstimator:
         # read-only, so the totals cannot go stale
         for name in ("slots", "rows", "totals"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
-
-    def map_for(self, rep: int) -> MaxHashMap:
-        return MaxHashMap(HashSpec(self.seed, rep, self.m))
 
     def _landed_cells(self, y: SparseVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """y's stacked image (keys rep * m + bucket, pooled values) and the

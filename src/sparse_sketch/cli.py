@@ -34,7 +34,6 @@ from .embeddings import (
     EmbedParams,
     plan_params,
     require_cells,
-    sum_pool,
     with_overrides,
 )
 from .errors import (
@@ -156,7 +155,7 @@ def _distort_norms(args, dataset, params, seed):
         # the sum-hash map is one copy at the full width; its row's non-zero sums
         landed, inv = np.unique(bucket_grid(seed, 1, vec.indices, width)[0],
                                 return_inverse=True)
-        approx_sum = _dense_norm(sum_pool(inv, vec.values, len(landed)), p)
+        approx_sum = _dense_norm(np.bincount(inv, weights=vec.values, minlength=len(landed)), p)
         for label, approx in (("max-hash", approx_max), ("sum-hash", approx_sum)):
             ratio = approx / true if true > 0 else None
             rows.append((vec_id, label, p, true, approx, ratio))
@@ -311,17 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, output_required=True):
+    def common(sp):
         sp.add_argument("--input", help="input dataset file (.tsv text or .jsonl)")
-        sp.add_argument("--output", required=output_required, help="output CSV path")
+        sp.add_argument("--output", required=True, help="output CSV path")
         sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        sp.add_argument("--p", type=_parse_p, default=None, help="norm order, e.g. 2 or inf")
+        sp.add_argument("--trials", type=int, default=1, help="number of seeded runs")
+
+    def planner(sp):
         sp.add_argument("--params", help="embedding params JSON (read only)")
         sp.add_argument("--mode", default="all-p",
                         choices=["all-p", "linf-exact", "sum-linf", "discrete"],
                         help="planner mode (default all-p)")
         sp.add_argument("--eps", type=float, default=0.2, help="accuracy (default 0.2)")
-        sp.add_argument("--p", type=_parse_p, default=None, help="norm order, e.g. 2 or inf")
-        sp.add_argument("--trials", type=int, default=1, help="number of seeded runs")
         sp.add_argument("--s", type=int, default=None, help="sparsity override")
         sp.add_argument("--delta", type=int, default=None, help="discrete-mode value bound")
         sp.add_argument("--m", type=int, default=None, help="bucket-count override")
@@ -329,10 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("embed", help="embed a dataset; writes CSV + params JSON")
     common(sp)
+    planner(sp)
     sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("distort", help="true-vs-embedded distance (or norm) report")
     common(sp)
+    planner(sp)
     sp.add_argument("--against-zero", action="store_true",
                     help="per-vector norms vs zero, max-hash and sum-hash baselines")
     sp.set_defaults(func=cmd_distort)
@@ -340,22 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("apps", help="run a downstream application")
     sp.add_argument("task", choices=["diameter", "maxcut", "cluster-cost", "dist-est"])
     common(sp)
+    planner(sp)
     sp.add_argument("--queries", help="dist-est: query dataset file")
     sp.add_argument("--objective", default="median", choices=["median", "means", "center"])
     sp.add_argument("--clusters", help="cluster-cost: comma-separated labels per vector")
     sp.add_argument("--centers", default="basic", choices=["basic", "continuous"])
     sp.set_defaults(func=cmd_apps)
 
-    sp = sub.add_parser("probe", help="linear-map probes")
+    # no abbreviations: `--s` would otherwise pass for `--seed`
+    sp = sub.add_parser("probe", help="linear-map probes", allow_abbrev=False)
     sp.add_argument("task", choices=["rate", "violation", "unif-stats"])
     common(sp)
     sp.add_argument("--t", type=int, default=1, help="support size of random draws")
     sp.add_argument("--r", type=float, default=1.0, help="variance of non-zero entries")
     sp.add_argument("--d", type=int, default=None, help="ambient dimension (unif-stats)")
     sp.add_argument("--gamma", type=float, default=0.0, help="relative tolerance (0 = exact)")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility and echoed in # config:; "
-                         "no effect, every trial runs in one stream")
     sp.set_defaults(func=cmd_probe)
     return parser
 

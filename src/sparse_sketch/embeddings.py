@@ -1,24 +1,25 @@
-"""Hash-and-pool embeddings: the linear sum map, the max-pool map, stacks.
+"""Max-pool embeddings: stacks of hash-and-max copies and their planner.
 
-Two pooling rules over the same bucket hash:
+A copy hashes each coordinate to one of m buckets and keeps, per bucket,
+the max of the stored values landing there. ``pairwise.stacked_image`` is
+the one map of a vector into T stacked copies (sorted keys copy * m +
+bucket and their pooled maxima); ``stack_embed`` scatters it into a dense
+row, and ``estimate_distance`` merges two images: the per-pair definition
+of what ``pairwise.stacked_linf`` and ``stacked_power_sums`` give for all
+pairs. The linear hash-and-sum baseline is ``probes.birthday_matrix``.
 
-* sum pooling (``BirthdayMap``): linear; collision-free with high
-  probability once the bucket count is quadratic in the sparsity.
-* max pooling (``MaxHashMap``): non-linear; never expands distances
-  between non-negative vectors, at any bucket count.
+Max pooling is total on any input, but its guarantee that no distance
+expands holds only between non-negative vectors. A bucket can expand a
+distance only when it pools two or more coordinates and at least one of
+them holds a negative stored entry; opposite signs are not needed. With
+m = 1, x = -e_i, y = e_j doubles their max-norm distance, and
+x = {0: -1, 1: -5}, y = {1: -5} gives an image l1 distance of 4 against a
+true one of 1.
 
-Every max pool runs one kernel, ``pairwise._max_pool_keys``: it is
-``landed_buckets`` (the sparse image of one copy) and ``max_pool`` scatters
-it into a dense row. ``pairwise.stacked_image`` is the one stacking
-function; ``stack_embed`` scatters it into a dense row, and
-``estimate_distance`` merges two images: the per-pair definition of what
-``pairwise.stacked_linf`` and ``stacked_power_sums`` give for all pairs.
-
-A ``StackedEmbedding`` concatenates independent max-pool copies; the
-parameter planner turns (mode, sparsity, dataset size, accuracy) into a
-concrete (bucket count m, copy count T). The planner's leading constants
-are this library's choices, fixed so the desk-scale guarantees hold with
-margin.
+A ``StackedEmbedding`` names T copies sharing a seed; the parameter planner
+turns (mode, sparsity, dataset size, accuracy) into a concrete (bucket
+count m, copy count T). The planner's leading constants are this library's
+choices, fixed so the desk-scale guarantees hold with margin.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import EmbeddingMismatch, ParseError, PreconditionError
-from .hashing import HashSpec, bucket_grid
-from .pairwise import _max_pool_keys, stacked_image
+from .pairwise import stacked_image
 from .vectors import SparseVector, _check_p, _dense_norm, require_nonneg
 
 MODES = ("all-p", "linf-exact", "sum-linf", "discrete")
@@ -45,70 +45,6 @@ def require_cells(cells: int, what: str) -> None:
     """PreconditionError unless `cells` fits in CELL_BUDGET."""
     if cells > CELL_BUDGET:
         raise PreconditionError(f"{what} needs {cells} cells, above the budget of {CELL_BUDGET}")
-
-
-def sum_pool(buckets, values, m: int) -> np.ndarray:
-    """Dense length-m vector whose bucket b holds the sum of landed values."""
-    out = np.zeros(m, dtype=np.float64)
-    np.add.at(out, np.asarray(buckets, dtype=np.int64), np.asarray(values, dtype=np.float64))
-    return out
-
-
-def _scatter(keys: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
-    """Dense length-`width` row of a sparse image: `values` at `keys`, 0 elsewhere."""
-    out = np.zeros(width, dtype=np.float64)
-    out[keys] = values
-    return out
-
-
-def max_pool(buckets, values, m: int) -> np.ndarray:
-    """Dense length-m vector whose bucket b holds the max of landed support
-    values, 0 when no support lands there.
-
-    The max is over stored (non-zero) values only, so a bucket receiving a
-    single negative value reports that negative value, not 0.
-    """
-    return _scatter(*_max_pool_keys(np.asarray(buckets, dtype=np.int64),
-                                   np.asarray(values, dtype=np.float64)), m)
-
-
-@dataclass(frozen=True)
-class BirthdayMap:
-    """Linear hash-and-sum map to `spec.m` buckets."""
-
-    spec: HashSpec
-
-
-def birthday_embed(bmap: BirthdayMap, x: SparseVector) -> np.ndarray:
-    spec = bmap.spec
-    buckets = bucket_grid(spec.seed, 1, x.indices, spec.m, start=spec.copy_index)[0]
-    return sum_pool(buckets, x.values, spec.m)
-
-
-@dataclass(frozen=True)
-class MaxHashMap:
-    """Non-linear hash-and-max map to `spec.m` buckets.
-
-    Total on any input, but its distance guarantees hold only for
-    non-negative vectors. A bucket can expand a distance only when it pools
-    two or more coordinates and at least one of them holds a negative
-    stored entry; opposite signs are not needed. With m = 1, x = -e_i,
-    y = e_j doubles their max-norm distance, and x = {0: -1, 1: -5},
-    y = {1: -5} gives an image l1 distance of 4 against a true one of 1.
-    """
-
-    spec: HashSpec
-
-
-def landed_buckets(mmap: MaxHashMap, x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse image of x: sorted unique buckets and their pooled maxima."""
-    spec = mmap.spec
-    buckets = bucket_grid(spec.seed, 1, x.indices, spec.m, start=spec.copy_index)[0]
-    return _max_pool_keys(buckets, np.asarray(x.values, dtype=np.float64))
-
-
-def max_embed(mmap: MaxHashMap, x: SparseVector) -> np.ndarray:
-    return _scatter(*landed_buckets(mmap, x), mmap.spec.m)
 
 
 @dataclass(frozen=True)
@@ -183,7 +119,7 @@ def plan_params(mode: str, s: int, n: int, eps: float, delta: int | None = None,
     non-expansion, and the base^p range factor sizes (m, T) so that, with
     high probability over the seed, stacked p-th power distances land in
     [(1 - eps) T, (1 + eps) T] times the true ones. Any excess above T
-    comes from buckets pooling a negative entry (see ``MaxHashMap``).
+    comes from buckets pooling a negative entry (see the module docstring).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -232,17 +168,16 @@ class StackedEmbedding:
     def T(self) -> int:
         return self.params.T
 
-    def map_for(self, copy_index: int) -> MaxHashMap:
-        if not 0 <= copy_index < self.params.T:
-            raise IndexError(f"copy index {copy_index} outside 0..{self.params.T - 1}")
-        return MaxHashMap(HashSpec(self.seed, copy_index, self.params.m))
-
 
 def stack_embed(stack: StackedEmbedding, x: SparseVector) -> np.ndarray:
     """Dense concatenation of the T copy outputs, copy 0 first: the
     ``stacked_image`` of x scattered into one row."""
-    require_cells(stack.m * stack.T, "stacked embedding")
-    return _scatter(*stacked_image(x, stack.m, stack.T, stack.seed), stack.m * stack.T)
+    width = stack.m * stack.T
+    require_cells(width, "stacked embedding")
+    keys, values = stacked_image(x, stack.m, stack.T, stack.seed)
+    out = np.zeros(width, dtype=np.float64)
+    out[keys] = values
+    return out
 
 
 def estimate_distance(stack: StackedEmbedding, x: SparseVector, y: SparseVector, p) -> float:

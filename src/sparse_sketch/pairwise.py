@@ -15,11 +15,12 @@ keys, the max of the values on each), and ``_pool_grid`` the one place that
 turns a grid of buckets into keys copy * m + bucket for it. ``stacked_image``
 is the one map of a vector into stacked copies: one ``bucket_grid`` and one
 ``_pool_grid``. ``embeddings.stack_embed`` scatters it into a dense row,
-``embeddings.estimate_distance`` merges the images of one pair, and the
-distance estimator's R repetitions are its R copies. Its build keys every
-vector's copies at once, as vec * copies * m + copy * m + bucket, for one
-``_max_pool_keys`` call per block of repetitions.
-``embeddings.landed_buckets`` is the single-copy image.
+``embeddings.estimate_distance`` merges the images of one pair, the
+diameter sketches read a one-copy image, and the distance estimator's R
+repetitions are its R copies. Its build keys every vector's copies at
+once, as vec * copies * m + copy * m + bucket, for one ``_max_pool_keys``
+call per block of repetitions. The ``embeddings`` module docstring says
+when a pooled bucket can expand a distance.
 
 Two all-pairs kernels evaluate a dataset's embedded distances, each
 cross-checked in the test suite against the per-copy definition. A

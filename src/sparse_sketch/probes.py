@@ -25,8 +25,7 @@ from .hashing import HashSpec, bucket_grid, derive_seed
 from .vectors import INF, SparseVector, _check_p, _dense_norm, _read_only
 
 _EXACT_RTOL = 1e-9
-_SUPPORT_DENSE_BUDGET = 20_000_000
-_GRAM_CELLS = 1 << 20  # Gram entries gathered per block of trials (8 MB)
+_GRAM_CELLS = 1 << 20  # Gram entries or support scores per block of trials (8 MB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,14 +76,18 @@ class UnifSpec:
 
 
 def _support_matrix(rng: np.random.Generator, trials: int, d: int, t: int) -> np.ndarray:
+    """Sorted supports of `trials` draws: per row, the t smallest of d uniform
+    scores. The scores come in blocks of at most _GRAM_CELLS, which read the
+    stream exactly as one (trials, d) draw would."""
     if t == d:
         return np.tile(np.arange(d, dtype=np.int64), (trials, 1))
-    if trials * d <= _SUPPORT_DENSE_BUDGET:
-        scores = rng.random((trials, d))
-        picks = np.argpartition(scores, t - 1, axis=1)[:, :t]
-        return np.sort(picks, axis=1).astype(np.int64)
-    rows = [np.sort(rng.choice(d, size=t, replace=False)) for _ in range(trials)]
-    return np.asarray(rows, dtype=np.int64)
+    out = np.empty((trials, t), dtype=np.int64)
+    step = max(1, _GRAM_CELLS // d)
+    for lo in range(0, trials, step):
+        scores = rng.random((min(step, trials - lo), d))
+        out[lo:lo + step] = np.argpartition(scores, t - 1, axis=1)[:, :t]
+    out.sort(axis=1)
+    return out
 
 
 def unif_draws(spec: UnifSpec, trials: int) -> tuple[np.ndarray, np.ndarray]:

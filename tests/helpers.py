@@ -54,6 +54,14 @@ def pooled_copy(x: SparseVector, m: int, seed: int, copy: int) -> dict[int, floa
     return out
 
 
+def pooled_row(x: SparseVector, m: int, seed: int, copy: int) -> np.ndarray:
+    """``pooled_copy`` as a dense length-m row, 0 where nothing lands."""
+    row = np.zeros(m)
+    for b, v in pooled_copy(x, m, seed, copy).items():
+        row[b] = v
+    return row
+
+
 def copy_diffs(x, y, m, T, seed) -> list[float]:
     """|f_c(x)_b - f_c(y)_b| over every copy c and every bucket b either lands in."""
     diffs = []

@@ -26,7 +26,6 @@ from sparse_sketch.apps import (
     sketched_pair_powers,
 )
 from sparse_sketch.datagen import random_nonneg_dataset
-from sparse_sketch.embeddings import landed_buckets
 from sparse_sketch.errors import (
     NonNegativeRequired,
     PatternBudgetError,
@@ -34,7 +33,8 @@ from sparse_sketch.errors import (
 )
 from sparse_sketch.vectors import INF, Dataset, SparseVector, lp_dist
 
-from helpers import cut_value, dense, dense_dot_query, dense_tables, two_partitions
+from helpers import (cut_value, dense, dense_dot_query, dense_tables, pooled_copy, pooled_row,
+                     two_partitions)
 
 
 def sv(pairs, d=100):
@@ -156,13 +156,10 @@ def test_l1_diameter_never_exceeds_exact():
 def test_l1_diameter_equals_projected_space_oracle():
     # the pattern machinery must compute exactly the pairwise l1 diameter
     # of the bucketed vectors
-    from sparse_sketch.embeddings import MaxHashMap, max_embed
-    from sparse_sketch.hashing import HashSpec
     data = random_nonneg_dataset(12, 3, 400, seed=4)
     k = 9
     for seed in (0, 1, 2):
-        rows = np.stack([max_embed(MaxHashMap(HashSpec(seed, 0, k)), v)
-                         for v in data.vectors])
+        rows = np.stack([pooled_row(v, k, seed, 0) for v in data.vectors])
         oracle = max(
             float(np.abs(rows[i] - rows[j]).sum())
             for i in range(12) for j in range(i + 1, 12)
@@ -220,9 +217,7 @@ def test_maxcut_sketched_never_exceeds_even_at_one_bucket():
     true, _ = maxcut_brute(data, 2)
     powers = sketched_pair_powers(data, 2.0, eps=0.9, seed=0)
     # force total collision separately: a single bucket cannot expand cuts
-    from sparse_sketch.embeddings import MaxHashMap, max_embed
-    from sparse_sketch.hashing import HashSpec
-    rows = [max_embed(MaxHashMap(HashSpec(0, 0, 1)), v) for v in data.vectors]
+    rows = [pooled_row(v, 1, 0, 0) for v in data.vectors]
     n = len(rows)
     one_bucket = np.zeros((n, n))
     for i in range(n):
@@ -410,7 +405,7 @@ def test_estimator_query_op_count():
     data = random_nonneg_dataset(20, 3, 1000, seed=20)
     est = build_estimator(data, p=2, eps=0.5, seed=6)
     for y in (*data.vectors[:5], SparseVector.zero(1000)):
-        landed = sum(len(landed_buckets(est.map_for(rep), y)[0]) for rep in range(est.R))
+        landed = sum(len(pooled_copy(y, est.m, est.seed, rep)) for rep in range(est.R))
         assert est.query_cells(y) == est.R + est.p * landed <= est.R * est.m * (est.p + 1)
 
 
@@ -422,9 +417,7 @@ def test_estimator_lower_median_rule():
     tables = dense_tables(est)
     per_rep = []
     for rep in range(est.R):
-        z = np.zeros(est.m)
-        b, v = landed_buckets(est.map_for(rep), y)
-        z[b] = v
+        z = pooled_row(y, est.m, est.seed, rep)
         total = 0.0
         for k in range(est.p + 1):
             sign = -1.0 if k % 2 else 1.0
@@ -435,9 +428,16 @@ def test_estimator_lower_median_rule():
     assert est.query(y) == pytest.approx(expect, rel=1e-12)
 
 
+def landed_image(vec, est, rep):
+    """Sorted buckets of vec's image in repetition `rep` and their pooled
+    maxima, from ``pooled_copy``."""
+    image = sorted(pooled_copy(vec, est.m, est.seed, rep).items())
+    return np.array([b for b, _ in image], dtype=np.int64), np.array([v for _, v in image])
+
+
 def per_copy_estimator(est, data):
     """Tables and per-rep query estimates built one repetition at a time from
-    ``landed_buckets``, adding the vectors in order, with repeated
+    ``landed_image``, adding the vectors in order, with repeated
     multiplication for the powers; returns the tables, the per-repetition
     estimates before the clamp at 0, the query and the number of images in
     which two coordinates collided."""
@@ -446,7 +446,7 @@ def per_copy_estimator(est, data):
     collided = 0
     for rep in range(est.R):
         for vec in data.vectors:
-            b, v = landed_buckets(est.map_for(rep), vec)
+            b, v = landed_image(vec, est, rep)
             collided += len(b) < vec.sparsity
             ve = v
             for e in range(1, est.p + 1):
@@ -459,7 +459,7 @@ def per_copy_estimator(est, data):
         # landed bucket added one by one in bucket order
         out = []
         for rep in range(est.R):
-            b, z = landed_buckets(est.map_for(rep), y)
+            b, z = landed_image(y, est, rep)
             terms, zk = np.zeros(len(b)), z
             for k in range(1, est.p + 1):
                 terms += (-1.0 if k % 2 else 1.0) * math.comb(est.p, k) * zk * tables[rep, b, est.p - k]

@@ -295,22 +295,33 @@ def test_probe_rate_identity_matrix(tmp_path):
     assert "# rate: 1.0" in text
 
 
-def test_probe_rate_deterministic_across_jobs(tmp_path):
-    # --jobs is echoed in # config: and changes nothing else; it used to
-    # re-seed one draw stream per shard (rate 0.0167 at --jobs 1, 0.05 at 3)
+def test_probe_rate_deterministic_across_runs(tmp_path):
+    # every trial comes from one draw stream, so re-runs repeat every byte
     mpath = str(tmp_path / "map.csv")
     rng = np.random.default_rng(0)
     io.write_dense_map_csv(mpath, rng.standard_normal((6, 40)))
     bodies = []
-    for k, jobs in enumerate(("1", "3", "3", "4")):
+    for k in range(3):
         out = str(tmp_path / f"rate{k}.csv")
         rc = main(["probe", "rate", "--input", mpath, "--output", out, "--t", "4",
-                   "--gamma", "0.3", "--trials", "60", "--jobs", jobs, "--seed", "2"])
+                   "--gamma", "0.3", "--trials", "60", "--seed", "2"])
         assert rc == 0
         body = read_lines(out).splitlines()
         bodies.append([l for l in body if not l.startswith("# config")])
     assert bodies[0][-1] == "# rate: 0.016666666666666666"
     assert all(body == bodies[0] for body in bodies)
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--params", "--mode", "--eps", "--s", "--delta",
+                                  "--m", "--T"])
+def test_probe_rejects_flags_it_does_not_read(tmp_path, capsys, flag):
+    value = {"--params": "p.json", "--mode": "all-p", "--eps": "0.2"}.get(flag, "2")
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "rate", "--input", str(tmp_path / "map.csv"),
+              "--output", str(tmp_path / "out.csv"), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("p", ["2", "3"])

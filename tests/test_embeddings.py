@@ -6,25 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_sketch.embeddings import (
-    BirthdayMap,
-    MaxHashMap,
     StackedEmbedding,
-    birthday_embed,
     estimate_distance,
     estimate_distance_embedded,
     estimate_sum_norm,
-    max_embed,
-    max_pool,
     plan_params,
     stack_embed,
-    sum_pool,
     with_overrides,
 )
 from sparse_sketch.errors import EmbeddingMismatch, NonNegativeRequired, PreconditionError
 from sparse_sketch.hashing import HashSpec, hash_bucket
+from sparse_sketch.pairwise import _max_pool_keys
+from sparse_sketch.probes import birthday_matrix
 from sparse_sketch.vectors import INF, SparseVector, lp_dist, lp_norm, sum_vectors
 
-from helpers import copy_diffs, dense_lp, random_sparse, stack_of
+from helpers import copy_diffs, dense_lp, pooled_copy, pooled_row, random_sparse, stack_of
 
 
 def sv(pairs, d=1000):
@@ -36,6 +32,11 @@ def find_seed(pred, limit=10_000):
         if pred(seed):
             return seed
     raise AssertionError("no seed found")
+
+
+def one_copy(x, m, seed):
+    """x under a single max-pool copy of m buckets, as a dense row."""
+    return stack_embed(stack_of(m, 1, seed), x)
 
 
 def injective_seed(indices, m):
@@ -50,73 +51,72 @@ def injective_seed(indices, m):
 
 
 def test_sum_pool_forced_collision():
-    assert sum_pool([0, 0], [1.0, 2.0], 1).tolist() == [3.0]
+    # one bucket: the sum-hash map adds every stored value
+    out = birthday_matrix(HashSpec(0, 0, 1), 2).apply_sparse(sv({0: 1.0, 1: 2.0}, d=2))
+    assert out.tolist() == [3.0]
 
 
 def test_max_pool_direct_evaluation():
-    # h = {0 -> 0, 2 -> 0, 4 -> 1}, values 2, 5, 1
-    out = max_pool([0, 0, 1], [2.0, 5.0, 1.0], 3)
-    assert out.tolist() == [5.0, 1.0, 0.0]
+    # keys {0, 0, 1} with values 2, 5, 1
+    keys, vals = _max_pool_keys(np.array([0, 0, 1]), np.array([2.0, 5.0, 1.0]))
+    assert keys.tolist() == [0, 1] and vals.tolist() == [5.0, 1.0]
 
 
 def test_max_pool_keeps_negative_maxima():
-    assert max_pool([1], [-2.0], 3).tolist() == [0.0, -2.0, 0.0]
+    keys, vals = _max_pool_keys(np.array([1]), np.array([-2.0]))
+    assert keys.tolist() == [1] and vals.tolist() == [-2.0]
 
 
 # --- birthday map
 
 
 def test_birthday_empty_is_zero():
-    bmap = BirthdayMap(HashSpec(3, 0, 7))
-    assert not birthday_embed(bmap, SparseVector.zero(50)).any()
+    bmap = birthday_matrix(HashSpec(3, 0, 7), 50)
+    assert not bmap.apply_sparse(SparseVector.zero(50)).any()
 
 
 def test_birthday_linearity_is_exact():
-    bmap = BirthdayMap(HashSpec(11, 0, 5))
+    bmap = birthday_matrix(HashSpec(11, 0, 5), 1000)
     x = sv({0: 1.25, 3: -2.0, 17: 0.5})
     two_x = SparseVector(x.indices, tuple(2 * v for v in x.values), x.dim)
-    assert np.array_equal(birthday_embed(bmap, two_x), 2 * birthday_embed(bmap, x))
+    assert np.array_equal(bmap.apply_sparse(two_x), 2 * bmap.apply_sparse(x))
 
 
 def test_birthday_injective_preserves_all_norms():
     x = sv({0: 1.0, 5: -2.0, 9: 3.0})
     m = 64
     seed = injective_seed(x.indices, m)
-    out = birthday_embed(BirthdayMap(HashSpec(seed, 0, m)), x)
+    out = birthday_matrix(HashSpec(seed, 0, m), 1000).apply_sparse(x)
     for p in (1, 2, 3, INF):
         assert dense_lp(out, p) == pytest.approx(lp_norm(x, p), rel=1e-12)
 
 
-# --- max-hash map
+# --- one max-pool copy
 
 
 def test_max_embed_empty_input():
-    mmap = MaxHashMap(HashSpec(0, 0, 3))
-    assert max_embed(mmap, SparseVector.zero(10)).tolist() == [0.0, 0.0, 0.0]
+    assert one_copy(SparseVector.zero(10), 3, 0).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_max_embed_single_bucket_is_support_max():
-    mmap = MaxHashMap(HashSpec(5, 0, 1))
-    assert max_embed(mmap, sv({0: 2.0, 40: 7.0, 100: 1.0})).tolist() == [7.0]
+    assert one_copy(sv({0: 2.0, 40: 7.0, 100: 1.0}), 1, 5).tolist() == [7.0]
 
 
 def test_signed_collision_can_double_max_distance():
     # one negative and one positive entry forced into the same bucket:
     # true distance 1, embedded distance 2
-    mmap = MaxHashMap(HashSpec(1, 0, 1))
     x, y = sv({0: -1.0}), sv({1: 1.0})
-    fx, fy = max_embed(mmap, x), max_embed(mmap, y)
+    fx, fy = one_copy(x, 1, 1), one_copy(y, 1, 1)
     assert lp_dist(x, y, INF) == 1.0
     assert abs(fx - fy).max() == 2.0
 
 
 def test_max_embed_matches_hash_by_hand():
-    mmap = MaxHashMap(HashSpec(77, 0, 11))
     x = sv({3: 2.0, 8: 5.0})
-    out = max_embed(mmap, x)
+    out = one_copy(x, 11, 77)
     expect = np.zeros(11)
     for i, v in x.items():
-        b = hash_bucket(mmap.spec, i)
+        b = hash_bucket(HashSpec(77, 0, 11), i)
         expect[b] = max(expect[b], v)
     assert np.array_equal(out, expect)
 
@@ -148,7 +148,7 @@ def test_sum_of_maxes_bounded_by_twice_max_sum(a, b):
 def test_stack_single_copy_equals_base_map():
     x = sv({1: 1.0, 50: 4.0, 800: 2.0})
     st1 = stack_of(m=17, T=1, seed=3)
-    assert np.array_equal(stack_embed(st1, x), max_embed(st1.map_for(0), x))
+    assert np.array_equal(stack_embed(st1, x), pooled_row(x, 17, 3, 0))
 
 
 def test_stack_empty_vector_is_zero():
@@ -160,8 +160,8 @@ def test_stack_concatenates_in_copy_order():
     x = sv({0: 3.0, 10: 1.0})
     st2 = stack_of(m=8, T=2, seed=21)
     out = stack_embed(st2, x)
-    assert np.array_equal(out[:8], max_embed(st2.map_for(0), x))
-    assert np.array_equal(out[8:], max_embed(st2.map_for(1), x))
+    assert np.array_equal(out[:8], pooled_row(x, 8, 21, 0))
+    assert np.array_equal(out[8:], pooled_row(x, 8, 21, 1))
 
 
 # --- parameter planning
@@ -341,8 +341,7 @@ def test_max_embed_never_expands_nonneg(seed, m, p):
     rng = np.random.default_rng(seed)
     x = random_sparse(rng, 200, int(rng.integers(0, 12)))
     y = random_sparse(rng, 200, int(rng.integers(0, 12)))
-    mmap = MaxHashMap(HashSpec(seed, 0, m))
-    fx, fy = max_embed(mmap, x), max_embed(mmap, y)
+    fx, fy = one_copy(x, m, seed), one_copy(y, m, seed)
     assert dense_lp(fx - fy, p) <= lp_dist(x, y, p) + 1e-9
 
 
@@ -353,8 +352,7 @@ def test_no_collision_preserves_all_orders_simultaneously():
     union = sorted(set(x.indices) | set(y.indices))
     m = 144
     seed = injective_seed(union, m)
-    mmap = MaxHashMap(HashSpec(seed, 0, m))
-    fx, fy = max_embed(mmap, x), max_embed(mmap, y)
+    fx, fy = one_copy(x, m, seed), one_copy(y, m, seed)
     for p in (1, 2, 4, INF):
         assert dense_lp(fx - fy, p) == pytest.approx(lp_dist(x, y, p), rel=1e-12)
 
@@ -407,7 +405,6 @@ def test_sum_preservation_in_finite_orders():
     base_growth = 2.0 ** p
     m = math.ceil(100 * s * s * base_growth / eps)
     T = math.ceil(50 * math.log(n) * base_growth / eps)
-    stack = stack_of(m=m, T=T, seed=99)
     vecs = [random_sparse(rng, 4000, s) for _ in range(n)]
     checked = 0
     for i in range(n):
@@ -416,9 +413,9 @@ def test_sum_preservation_in_finite_orders():
             true = lp_norm(sum_vectors(x, y), p) ** p
             total = 0.0
             for c in range(T):
-                mmap = stack.map_for(c)
-                fs = max_embed(mmap, x) + max_embed(mmap, y)
-                total += float(np.sum(np.abs(fs) ** p))
+                fx, fy = pooled_copy(x, m, 99, c), pooled_copy(y, m, 99, c)
+                total += sum(abs(fx.get(b, 0.0) + fy.get(b, 0.0)) ** p
+                             for b in fx.keys() | fy.keys())
             assert (1 - eps) * true <= total / T <= (1 + eps) * true
             checked += 1
             if checked >= 6:

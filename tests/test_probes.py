@@ -50,6 +50,34 @@ def test_supports_are_distinct_sorted():
         assert np.all(np.diff(row) > 0)
 
 
+def test_blocked_support_draws_equal_one_draw(monkeypatch):
+    # the scores of all trials fit one block by default, which is one
+    # (trials, d) draw; blocks of 1 and 3 rows must read the same stream,
+    # and so must the values drawn after them
+    spec = UnifSpec(t=5, r=1.0, d=30, seed=13)
+    assert 100 * spec.d <= probes._GRAM_CELLS
+    s1, v1 = unif_draws(spec, 100)
+    for rows in (1, 3):
+        monkeypatch.setattr(probes, "_GRAM_CELLS", rows * spec.d)
+        s2, v2 = unif_draws(spec, 100)
+        assert np.array_equal(s1, s2) and np.array_equal(v1, v2)
+
+
+def test_draw_memory_does_not_grow_with_trials_times_d():
+    # 4000 trials over 2048 coordinates: 8.2M scores, 65 MB in one draw;
+    # blocked, the peak is one block of scores and its argpartition plus
+    # the (trials, t) outputs
+    spec = UnifSpec(t=8, r=1.0, d=2048, seed=1)
+    trials = 4000
+    tracemalloc.start()
+    try:
+        unif_draws(spec, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * probes._GRAM_CELLS * 8 + 4 * trials * spec.t * 8
+
+
 def test_moments_match_distribution():
     # coordinate means ~ 0 and E||u||^2 = t * r, both within 5 sigma
     t, r, d, trials = 5, 2.0, 40, 10_000
@@ -112,8 +140,8 @@ def test_birthday_map_high_exact_rate():
 
 
 def test_sharding_does_not_change_results(monkeypatch):
-    # the Gram path evaluates its trials in blocks; the block size, like the
-    # CLI's --jobs, must not move a single bit
+    # the Gram path evaluates its trials in blocks; the block size must not
+    # move a single bit
     d = 30
     lin = gaussian_map(8, d, seed=9)
     spec = UnifSpec(t=5, r=1.0, d=d, seed=13)

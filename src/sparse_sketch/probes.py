@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import require_cells
 from .errors import (
     InternalCheckError,
     PreconditionColumns,
@@ -77,8 +78,9 @@ class UnifSpec:
 
 def _support_matrix(rng: np.random.Generator, trials: int, d: int, t: int) -> np.ndarray:
     """Sorted supports of `trials` draws: per row, the t smallest of d uniform
-    scores. The scores come in blocks of at most _GRAM_CELLS, which read the
-    stream exactly as one (trials, d) draw would."""
+    scores. The scores come in blocks of max(_GRAM_CELLS, d) cells (one row
+    per block once d > _GRAM_CELLS), which read the stream exactly as one
+    (trials, d) draw would."""
     if t == d:
         return np.tile(np.arange(d, dtype=np.int64), (trials, 1))
     out = np.empty((trials, t), dtype=np.int64)
@@ -94,10 +96,13 @@ def unif_draws(spec: UnifSpec, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """`trials` draws as (supports, values) arrays of shape (trials, t).
 
     The stream is a pure function of (spec, trials): identical inputs
-    reproduce identical draws, across runs and processes.
+    reproduce identical draws, across runs and processes. Each draw reads d
+    uniform scores, so d may be at most CELL_BUDGET and the time grows with
+    trials * d.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
+    require_cells(spec.d, "support scores")
     rng = np.random.default_rng(derive_seed(spec.seed, 0xD14A, 0))
     supports = _support_matrix(rng, trials, spec.d, spec.t)
     values = rng.normal(0.0, math.sqrt(spec.r), size=(trials, spec.t))

@@ -54,6 +54,12 @@ def pooled_copy(x: SparseVector, m: int, seed: int, copy: int) -> dict[int, floa
     return out
 
 
+def pooled_image(x: SparseVector, m: int, seed: int, copy: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pooled_copy`` as sorted (buckets, maxima) arrays."""
+    image = sorted(pooled_copy(x, m, seed, copy).items())
+    return np.array([b for b, _ in image], dtype=np.int64), np.array([v for _, v in image])
+
+
 def pooled_row(x: SparseVector, m: int, seed: int, copy: int) -> np.ndarray:
     """``pooled_copy`` as a dense length-m row, 0 where nothing lands."""
     row = np.zeros(m)

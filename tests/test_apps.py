@@ -33,8 +33,8 @@ from sparse_sketch.errors import (
 )
 from sparse_sketch.vectors import INF, Dataset, SparseVector, lp_dist
 
-from helpers import (cut_value, dense, dense_dot_query, dense_tables, pooled_copy, pooled_row,
-                     two_partitions)
+from helpers import (cut_value, dense, dense_dot_query, dense_tables, pooled_copy, pooled_image,
+                     pooled_row, two_partitions)
 
 
 def sv(pairs, d=100):
@@ -428,16 +428,9 @@ def test_estimator_lower_median_rule():
     assert est.query(y) == pytest.approx(expect, rel=1e-12)
 
 
-def landed_image(vec, est, rep):
-    """Sorted buckets of vec's image in repetition `rep` and their pooled
-    maxima, from ``pooled_copy``."""
-    image = sorted(pooled_copy(vec, est.m, est.seed, rep).items())
-    return np.array([b for b, _ in image], dtype=np.int64), np.array([v for _, v in image])
-
-
 def per_copy_estimator(est, data):
     """Tables and per-rep query estimates built one repetition at a time from
-    ``landed_image``, adding the vectors in order, with repeated
+    ``pooled_image``, adding the vectors in order, with repeated
     multiplication for the powers; returns the tables, the per-repetition
     estimates before the clamp at 0, the query and the number of images in
     which two coordinates collided."""
@@ -446,7 +439,7 @@ def per_copy_estimator(est, data):
     collided = 0
     for rep in range(est.R):
         for vec in data.vectors:
-            b, v = landed_image(vec, est, rep)
+            b, v = pooled_image(vec, est.m, est.seed, rep)
             collided += len(b) < vec.sparsity
             ve = v
             for e in range(1, est.p + 1):
@@ -459,7 +452,7 @@ def per_copy_estimator(est, data):
         # landed bucket added one by one in bucket order
         out = []
         for rep in range(est.R):
-            b, z = landed_image(y, est, rep)
+            b, z = pooled_image(y, est.m, est.seed, rep)
             terms, zk = np.zeros(len(b)), z
             for k in range(1, est.p + 1):
                 terms += (-1.0 if k % 2 else 1.0) * math.comb(est.p, k) * zk * tables[rep, b, est.p - k]

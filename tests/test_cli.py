@@ -377,14 +377,16 @@ def test_probe_unif_stats_full_coverage(tmp_path):
     ["unif-stats", "--d", "50", "--r", "inf"],
     ["unif-stats", "--d", "50", "--trials", "0"],
     ["unif-stats", "--d", "50", "--t", "4", "--trials", "20", "--r", "1e308"],
+    ["unif-stats", "--d", "1000000000000", "--t", "4", "--trials", "2"],
     ["rate", "--r", "nan", "--trials", "5"],
     ["rate", "--gamma", "nan", "--trials", "5"],
 ], ids=["unif-stats-r-nan", "unif-stats-r-inf", "unif-stats-no-trials",
-        "unif-stats-squares-overflow", "rate-r-nan", "rate-gamma-nan"])
+        "unif-stats-squares-overflow", "unif-stats-huge-d", "rate-r-nan", "rate-gamma-nan"])
 def test_probe_bad_sizes_are_quiet_precondition_errors(tmp_path, argv):
-    # the unif-stats cases used to exit 0 with nan or inf statistics, the last
-    # two after two numpy RuntimeWarnings; under -W error a warning would be
-    # a traceback
+    # the first four unif-stats cases used to exit 0 with nan or inf
+    # statistics, the squares overflow after two numpy RuntimeWarnings; under
+    # -W error a warning would be a traceback. A d past CELL_BUDGET would
+    # draw d scores per trial and end in a MemoryError traceback
     mpath = tmp_path / "map.csv"
     io.write_dense_map_csv(str(mpath), np.random.default_rng(0).standard_normal((6, 50)))
     out = tmp_path / "o.csv"

@@ -23,7 +23,7 @@ from helpers import (
     naive_stack_linf,
     naive_stack_pair_powers,
     pair_copy_tables,
-    pooled_copy,
+    pooled_image,
     random_sparse,
     stack_of,
     two_image_tables,
@@ -156,10 +156,10 @@ def test_stacked_image_is_the_per_copy_images(signed):
         keys, vals = stacked_image(vecs[0], m, T, seed)
         assert (np.diff(keys) > 0).all()
         for c in range(T):
-            image = sorted(pooled_copy(vecs[0], m, seed, c).items())
+            buckets, maxima = pooled_image(vecs[0], m, seed, c)
             here = (keys >= c * m) & (keys < (c + 1) * m)
-            assert (keys[here] - c * m).tolist() == [b for b, _ in image]
-            assert vals[here].tolist() == [v for _, v in image]
+            assert (keys[here] - c * m).tolist() == buckets.tolist()
+            assert vals[here].tolist() == maxima.tolist()
 
 
 def lp_dist_matrix(xs, ys, p):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparse_sketch import probes
+from sparse_sketch.embeddings import CELL_BUDGET
 from sparse_sketch.errors import (
     InternalCheckError,
     PreconditionColumns,
@@ -76,6 +77,13 @@ def test_draw_memory_does_not_grow_with_trials_times_d():
     finally:
         tracemalloc.stop()
     assert peak < 3 * probes._GRAM_CELLS * 8 + 4 * trials * spec.t * 8
+
+
+def test_draws_reject_a_dimension_past_the_cell_budget():
+    # every draw reads d scores, so d is bounded before anything is drawn
+    spec = UnifSpec(t=4, r=1.0, d=CELL_BUDGET + 1, seed=1)
+    with pytest.raises(PreconditionError, match="support scores"):
+        unif_draws(spec, 2)
 
 
 def test_moments_match_distribution():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""sha256 digests of 30 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 31 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
@@ -9,6 +9,10 @@ kernel's last bits do, a p = inf `distort` of it into 20 buckets over
 three hashing blocks, where most keys are shared, and a p = 4 `distort` of
 it into 2 buckets, where a vector pools three or more coordinates in one
 bucket, so the digest pins the order in which a group's powers are summed.
+A p = 2 `distort` of it into 4,194,305 buckets over 2000 copies finds
+about 20 collision groups whose fused (bucket, column) keys are too wide
+for int32 (271 distinct coordinates take 9 column bits), so it pins the
+engine's int64 key sort; every other engine call here sorts int32 keys.
 A p = inf `distort` of the signed data into 8 buckets mixes coordinates
 that are never alone in a bucket with ones alone in some copy. A p = 2000
 norm against zero is finite only if the stacked estimate is scaled by its
@@ -91,6 +95,8 @@ COMMANDS = {
     "wide distort p 3": ["distort", "--input", "WIDE", "--p", "3"],
     "wide distort p inf": ["distort", "--input", "WIDE", "--p", "inf", "--m", "20", "--T", "150"],
     "wide distort p 4 m 2": ["distort", "--input", "WIDE", "--p", "4", "--m", "2", "--T", "40"],
+    "wide distort p 2 m 4194305": ["distort", "--input", "WIDE", "--p", "2", "--m", "4194305",
+                                   "--T", "2000"],
     "wide cluster-cost means p 4": ["apps", "cluster-cost", "--input", "WIDE", "--p", "4",
                                     "--objective", "means", *WIDE_CLUSTERS],
     "embed width 120000": ["embed", "--input", "DATA", "--m", "20000", "--T", "6",

@@ -28,12 +28,13 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_u64(z: np.ndarray) -> np.ndarray:
+def _mix64_u64(z: np.ndarray, t: np.ndarray) -> None:
     # numpy uint64 arithmetic wraps mod 2**64, matching the scalar path;
-    # mutates z in place, with one scratch buffer, to keep big grids cheap
+    # mutates z in place, with the scratch buffer t (z's shape), to keep big
+    # grids cheap
     with np.errstate(over="ignore"):
         z += np.uint64(_GOLDEN)
-        t = z >> np.uint64(30)
+        np.right_shift(z, np.uint64(30), out=t)
         z ^= t
         z *= np.uint64(_MIX_A)
         np.right_shift(z, np.uint64(27), out=t)
@@ -41,7 +42,6 @@ def _mix64_u64(z: np.ndarray) -> np.ndarray:
         z *= np.uint64(_MIX_B)
         np.right_shift(z, np.uint64(31), out=t)
         z ^= t
-        return z
 
 
 def derive_seed(seed: int, *salts: int) -> int:
@@ -86,21 +86,34 @@ def _copy_keys(seed: int, start: int, copies: int) -> np.ndarray:
     copy_ids = np.arange(start, start + copies, dtype=np.uint64)
     with np.errstate(over="ignore"):
         seed_mixed = np.uint64(mix64(seed & _MASK64))
-        keys = _mix64_u64(seed_mixed ^ (copy_ids * np.uint64(_COPY_SALT)))
+        keys = seed_mixed ^ (copy_ids * np.uint64(_COPY_SALT))
+        _mix64_u64(keys, np.empty_like(keys))
     keys.flags.writeable = False
     return keys
 
 
 def bucket_grid(seed: int, copies: int, indices: np.ndarray, m: int,
-                start: int = 0) -> np.ndarray:
+                start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Buckets for `indices` under copy_index start..start+copies-1; shape
-    (copies, len), int64."""
+    (copies, len), int64.
+
+    `out`, a uint64 array of shape (2, copies, len) (a view into a larger
+    buffer will do), spares the call its two grid-sized allocations: the
+    buckets are written into out[0] and returned as its int64 view, and
+    out[1] is the scratch of the mixing and then holds the quotient h // m.
+    A walk over blocks of copies passes the same buffer for every block."""
     idx = np.asarray(indices, dtype=np.uint64)
-    h = _mix64_u64(_copy_keys(seed, start, copies)[:, None] ^ idx[None, :])
+    if out is None:
+        h = np.empty((copies, len(idx)), dtype=np.uint64)
+        t = np.empty_like(h)
+    else:
+        h, t = out
+    np.bitwise_xor(_copy_keys(seed, start, copies)[:, None], idx[None, :], out=h)
+    _mix64_u64(h, t)
     # h % m, in place: numpy divides a uint64 array by a scalar through
     # libdivide, several times faster than its uint64 remainder
     m = np.uint64(m)
-    q = h // m
-    q *= m
-    h -= q
+    np.floor_divide(h, m, out=t)
+    t *= m
+    h -= t
     return h.view(np.int64)

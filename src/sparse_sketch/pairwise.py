@@ -30,11 +30,14 @@ differ from the true vectors. ``_collision_blocks`` is the one walk over
 them, ``_BLOCK`` copies at a time. ``_shared_rows`` keys each cell as
 (bucket << bits) | column and sorts each row once: the sorted buckets flag
 the copies with a shared bucket and the low bits give the members' columns
-in bucket order, ties in column order. Where those keys would overflow
-int64 (m - 1 >= 2^(63 - bits)), a stable argsort of the flagged rows gives
-the same order. The members' (group, owner vector, value) entries are then
-pooled per (group, vector) to the top t_u. Its arrays scale with
-``_BLOCK``, not with the copy count.
+in bucket order, ties in column order. The keys are int32 when they fit
+(m - 1 < 2^(31 - bits)), which halves the sort's width, and int64 above
+that. Where they would overflow int64 (m - 1 >= 2^(63 - bits)), a stable
+argsort of the flagged rows gives the same order. The members' (group,
+owner vector, value) entries are then pooled per (group, vector) to the
+top t_u. A walk hashes every block into one workspace that it allocates up
+front, so its blocks do not map and release fresh pages; that workspace
+and the per-block arrays scale with ``_BLOCK``, not with the copy count.
 
 * ``stacked_linf``: p = inf. A max over copies splits by key. Keys that
   hold one coordinate give |x_u - x_v| at each coordinate alone in some
@@ -220,14 +223,15 @@ def _shared_rows(grid: np.ndarray, bits: int | None):
     """The rows of a (copies, k) grid of buckets in which two columns share a
     bucket: their indices, each such row's flags sorted[1:] == sorted[:-1],
     and the column order that sorts it, ties in column order. With `bits`
-    (>= the bit length of k - 1, and (m - 1) << bits within int64) one sort of
-    the keys (bucket << bits) | column gives both; with None a stable argsort
-    of the shared rows gives the same order. Consumes `grid`."""
+    (>= the bit length of k - 1, and (m - 1) << bits within the grid's
+    integer type, int32 or int64) one sort of the keys (bucket << bits) |
+    column gives both, and the order comes in the grid's type; with None a
+    stable argsort of the shared rows gives the same order. Consumes `grid`."""
     if bits is None:
         buckets = np.sort(grid, axis=1)
     else:
         grid <<= bits
-        grid |= np.arange(grid.shape[1])
+        grid |= np.arange(grid.shape[1], dtype=grid.dtype)
         grid.sort(axis=1)
         buckets = grid >> bits
     same = buckets[:, 1:] == buckets[:, :-1]
@@ -249,13 +253,28 @@ def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
     by entry, with the entries' run starts; and the entry pairs i < j inside
     each group. Blocks without collisions are skipped. Everywhere else a
     coordinate lands alone and every image holds its value exactly, so a
-    kernel adds those copies from the true vectors, not from this walk."""
+    kernel adds those copies from the true vectors, not from this walk.
+
+    Each call allocates one workspace that every block reuses: the (2,
+    block, k) uint64 buffer that ``bucket_grid`` hashes into and, when the
+    fused keys fit int32 (m - 1 < 2^(31 - bits)), the int32 copy of the
+    buckets that ``_shared_rows`` sorts. It is a local, so concurrent walks
+    share nothing, and nothing yielded aliases it."""
     distinct, owner_vec, owner_val, ostarts, ocounts = owners
     bits = max(1, (len(distinct) - 1).bit_length())
-    if m - 1 >= 1 << (63 - bits):
+    rows = min(_BLOCK, copies)
+    work = np.empty((2, rows, len(distinct)), dtype=np.uint64)
+    keys = None
+    if m - 1 < 1 << (31 - bits):  # bits <= 24 under HASH_BUDGET
+        keys = np.empty((rows, len(distinct)), dtype=np.int32)
+    elif m - 1 >= 1 << (63 - bits):
         bits = None  # the fused keys would overflow int64
     for start in range(0, copies, _BLOCK):
-        grid = bucket_grid(seed, min(_BLOCK, copies - start), distinct, m, start=start)
+        c = min(_BLOCK, copies - start)
+        grid = bucket_grid(seed, c, distinct, m, start=start, out=work[:, :c])
+        if keys is not None:
+            keys[:c] = grid
+            grid = keys[:c]
         dup, same, order = _shared_rows(grid, bits)
         if len(dup) == 0:
             continue
@@ -304,14 +323,15 @@ def stacked_power_sums(
     for coord, seg_vec, top, val, seg, (gi, gj) in _collision_blocks(owners, n, m, copies, seed):
         hits += np.bincount(coord, minlength=len(distinct))
         pair_key = seg_vec[gi] * n + seg_vec[gj]
+        top_abs, val_abs, gap = np.abs(top), np.abs(val), np.abs(top[gi] - top[gj])
         for p in ps:
             # an overflowed power (inf, or nan from inf - inf) is reported by _require_finite
             with np.errstate(over="ignore", invalid="ignore"):
-                tp = np.abs(top) ** p
+                tp = top_abs ** p
                 rows[p] += np.bincount(seg_vec, minlength=n,
-                                       weights=tp - np.add.reduceat(np.abs(val) ** p, seg))
+                                       weights=tp - np.add.reduceat(val_abs ** p, seg))
                 pairs[p] += np.bincount(pair_key, minlength=n * n,
-                                        weights=np.abs(top[gi] - top[gj]) ** p - tp[gi] - tp[gj])
+                                        weights=gap ** p - tp[gi] - tp[gj])
 
     # owner pairs of each shared coordinate, weighted by the copies it collides in
     shared = np.flatnonzero((hits > 0) & (ocounts > 1))
@@ -319,12 +339,12 @@ def stacked_power_sums(
     ci, cj = _run_pairs(ocounts[shared])
     c_hits = np.repeat(hits[shared], ocounts[shared])[ci].astype(np.float64)
     cx, cy = owner_val[opos[ci]], owner_val[opos[cj]]
+    cx_abs, cy_abs, c_gap = np.abs(cx), np.abs(cy), np.abs(cx - cy)
     c_key = owner_vec[opos[ci]] * n + owner_vec[opos[cj]]
     for p in ps:
         with np.errstate(over="ignore", invalid="ignore"):
             pairs[p] += np.bincount(c_key, minlength=n * n,
-                                    weights=c_hits * (np.abs(cx) ** p + np.abs(cy) ** p
-                                                      - np.abs(cx - cy) ** p))
+                                    weights=c_hits * (cx_abs ** p + cy_abs ** p - c_gap ** p))
             pair = pairs[p].reshape(n, n)
             t = totals[p]
             t += rows[p][:, None]

@@ -62,6 +62,19 @@ def test_grid_is_fresh_and_the_cached_copy_keys_read_only():
         keys[0] = 1
 
 
+def test_grid_written_into_a_partial_view_of_out():
+    idx = np.array([0, 2, 9, 777, 10**12, 2**64 - 1], dtype=np.uint64)
+    work = np.full((2, 8, len(idx)), 12345, dtype=np.uint64)
+    out = work[:, :3]
+    grid = bucket_grid(41, 3, idx, 97, start=6, out=out)
+    assert grid.dtype == np.int64 and np.shares_memory(grid, out[0])
+    assert (work[:, 3:] == 12345).all()  # the rest of the buffer is untouched
+    assert grid.tolist() == bucket_grid(41, 3, idx, 97, start=6).tolist()
+    for c in range(3):
+        spec = HashSpec(seed=41, copy_index=6 + c, m=97)
+        assert grid[c].tolist() == [hash_bucket(spec, int(j)) for j in idx]
+
+
 def test_grid_rows_match_per_copy_specs():
     idx = np.arange(50, dtype=np.uint64)
     grid = bucket_grid(777, 3, idx, 13)

@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -284,6 +285,12 @@ def test_fused_sort_equals_the_stable_argsort(rows, k, m):
     fallback = pairwise._shared_rows(grid.copy(), None)
     for a, b in zip(fused, fallback):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    if m - 1 < 1 << (31 - bits):
+        # the int32 keys of the walk: the column order comes back as int32
+        narrow = pairwise._shared_rows(grid.astype(np.int32), bits)
+        assert narrow[2].dtype == np.int32
+        for a, b in zip(narrow, fallback):
+            assert np.array_equal(a, b)
     # the definition: shared rows of the sorted grid, ties in column order
     order = np.argsort(grid, axis=1, kind="stable")
     buckets = np.take_along_axis(grid, order, 1)
@@ -325,6 +332,58 @@ def test_engine_at_an_m_too_large_to_fuse_keys(monkeypatch):
             for p in ps:
                 assert got[p][a, b] == pytest.approx(float(tables[p].sum()), rel=1e-12)
             assert linf[a, b] == float(tables["inf"].max())
+
+
+@pytest.mark.parametrize("m, width", [
+    (1 << 28, np.int32),  # m - 1 = 2^(31 - bits) - 1 with bits = 3
+    ((1 << 28) + 1, np.int64),  # m - 1 = 2^(31 - bits): the int64 keys
+])
+def test_engine_at_the_int32_key_bound(monkeypatch, m, width):
+    # seven coordinates take bits = 3; collisions made by inverting the hash
+    # of copy 0, over two blocks of copies, the second one partial
+    seed, copies = 5, _BLOCK + 3
+    spec = HashSpec(seed, 0, m)
+    hashes = [7, 7 + m, 7 + 5 * m, m - 1, 2 * m - 1, 12_345, 67_890]
+    j = [index_hashing_to(spec, h) for h in hashes]
+    assert [hash_bucket(spec, i) for i in j] == [h % m for h in hashes]
+    vecs = [SparseVector.from_pairs(pairs, 1 << 64) for pairs in (
+        {j[0]: 1.0, j[1]: 3.0, j[3]: 2.0, j[5]: 1.0},
+        {j[1]: 2.0, j[2]: 5.0, j[4]: 1.0},
+        {j[0]: 4.0, j[2]: 1.0, j[3]: 2.0, j[6]: 3.0},
+        {j[4]: 7.0},
+    )]
+    seen = []
+    real = pairwise._shared_rows
+    monkeypatch.setattr(pairwise, "_shared_rows",
+                        lambda grid, bits: seen.append((grid.dtype, bits)) or real(grid, bits))
+    ps = [1.0, 2.0, 3.0]
+    got = stacked_power_sums(vecs, m, copies, seed, ps)
+    linf = stacked_linf(vecs, m, copies, seed)
+    assert seen == [(np.dtype(width), 3)] * 4
+    for a in range(len(vecs)):
+        for b in range(a + 1, len(vecs)):
+            tables = pair_copy_tables(vecs[a], vecs[b], m, copies, seed, ps=ps)
+            for p in ps:
+                assert got[p][a, b] == pytest.approx(float(tables[p].sum()), rel=1e-12)
+            assert linf[a, b] == naive_stack_linf(vecs[a], vecs[b], m, copies, seed)
+
+
+def test_engine_results_do_not_depend_on_a_concurrent_call():
+    # each walk hashes into its own workspace, so two threads running the
+    # engine on different seeds at once get what sequential calls get
+    rng = np.random.default_rng(31)
+    vecs = [random_sparse(rng, 300, 6) for _ in range(12)]
+    m, copies, ps = 40, 5 * _BLOCK, [1.0, 2.0]
+    jobs = [(stacked_power_sums, (vecs, m, copies, seed, ps)) for seed in (1, 2)]
+    jobs += [(stacked_linf, (vecs, m, copies, seed)) for seed in (3, 4)]
+    expect = [fn(*args) for fn, args in jobs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(3):
+            got = [f.result() for f in [pool.submit(fn, *args) for fn, args in jobs]]
+            for g, e in zip(got[:2], expect[:2]):
+                assert all((g[p] == e[p]).all() for p in ps)
+            for g, e in zip(got[2:], expect[2:]):
+                assert (g == e).all()
 
 
 def test_engine_rejects_unkeyable_copy_counts():

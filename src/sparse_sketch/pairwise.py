@@ -3,12 +3,19 @@ stacked max-pool embeddings.
 
 ``lp_dists`` is the one exact-distance kernel: ``vectors.lp_dist`` over
 all pairs, equal bit for bit, behind every exact distance the package
-reports. Each pair's supports become one sorted row of ranks into the
-distinct indices (padded with a higher rank and value 0.0; a shared
-coordinate merged into one slot as |x - y|). The row takes ``_reduce_abs``'s
-scaled sum with ``np.float_power`` (numpy's ``**`` differs from Python's in
-the last bit), added slot by slot in index order. ``lp_dist`` stays as the
-scalar definition that the tests and the benchmark check against.
+reports. Its merge step (``_merged``) turns each pair's supports into one
+sorted row of ranks into the distinct indices (padded with a higher rank
+and value 0.0; a shared coordinate merged into one slot as |x - y|). Its
+norm step (``_norms``) takes ``_reduce_abs``'s scaled sum of each row with
+``np.float_power`` (numpy's ``**`` differs from Python's in the last bit),
+added slot by slot in index order. When ``ys is xs`` (every all-pairs
+caller, and ``pairwise_power_dists``) a triangle walk merges each unordered
+pair i < j once, hands the merged rows to every p at once, and mirrors the
+results: |x - y| and |y - x| are the same float in the same slot, so
+``lp_dist(x, y) == lp_dist(y, x)`` bit for bit, and the diagonal is exactly
+0. Other shapes walk all len(xs) * len(ys) pairs through the same two
+steps. ``lp_dist`` stays as the scalar definition that the tests and the
+benchmark check against.
 
 ``_max_pool_keys`` is the package's one max-pool kernel (sorted distinct
 keys, the max of the values on each), and ``_pool_grid`` the one place that
@@ -112,53 +119,104 @@ def _pool_grid(grid: np.ndarray, values, m: int) -> tuple[np.ndarray, np.ndarray
 
 
 def lp_dists(xs: Sequence[SparseVector], ys: Sequence[SparseVector], p) -> np.ndarray:
-    """(len(xs), len(ys)) matrix of ``lp_dist(x, y, p)``, equal bit for bit."""
+    """(len(xs), len(ys)) matrix of ``lp_dist(x, y, p)``, equal bit for bit.
+    With ``ys is xs`` it is ``_self_dists``' triangle walk, which merges each
+    unordered pair once and mirrors it (exact: the distance is symmetric bit
+    for bit); otherwise every ordered pair is merged, ``_CHUNK`` cells at a
+    time."""
     p = _check_p(p)
-    if len({v.dim for v in (*xs, *ys)}) > 1:
-        raise DimensionMismatch("ambient dimensions differ")
-    idx = np.array([i for v in (*xs, *ys) for i in v.indices], dtype=np.uint64)
-    rank = np.unique(idx, return_inverse=True)[1]
-    nx = sum(v.sparsity for v in xs)
-    xr, xv = _padded(xs, rank[:nx], len(idx), 1.0)
-    yr, yv = _padded(ys, rank[nx:], len(idx), -1.0)  # x - y is then a sum
+    if ys is xs:
+        return _self_dists(xs, [p])[0]
+    rows, vals = _padded([*xs, *ys])
     out = np.zeros(len(xs) * len(ys))
-    step = _CHUNK // (xr.shape[1] + yr.shape[1]) + 1
+    step = _CHUNK // (2 * rows.shape[1]) + 1
     for lo in range(0, len(out), step):
         i, j = np.divmod(np.arange(lo, min(lo + step, len(out))), len(ys))
-        key = np.hstack([xr[i], yr[j]])
-        order = np.argsort(key, axis=1, kind="stable")
-        key = np.take_along_axis(key, order, 1)
-        val = np.take_along_axis(np.hstack([xv[i], yv[j]]), order, 1)
-        d = np.abs(val)
-        shared = key[:, 1:] == key[:, :-1]  # x's entry, then y's
-        d[:, :-1][shared] = np.abs(val[:, :-1] + val[:, 1:])[shared]
-        d[:, 1:][shared] = 0.0
-        top = d.max(axis=1)
-        if p != INF:
-            with np.errstate(invalid="ignore"):  # 0/0 on rows that np.where zeroes
-                acc = np.add.accumulate(np.float_power(d / top[:, None], p), axis=1)[:, -1]
-            top = np.where(top > 0.0, top * np.float_power(acc, 1.0 / p), 0.0)
-        out[lo:lo + len(top)] = top
+        out[lo:lo + len(i)] = _norms(_merged(rows, vals, i, len(xs) + j), [p])[0]
     return out.reshape(len(xs), len(ys))
 
 
-def _padded(vectors: Sequence[SparseVector], rank: np.ndarray, pad: int, sign: float):
-    """(rows, max(1, max sparsity)) arrays of the vectors' index ranks, padded
-    with `pad` (above every rank), and of their signed values, padded with 0.0."""
+def _self_dists(vectors: Sequence[SparseVector], ps: Sequence[float]) -> list[np.ndarray]:
+    """``lp_dists(vectors, vectors, p)`` for each (checked) p of ps, from one
+    walk over the pairs i < j, ``_CHUNK`` cells at a time: each chunk is
+    merged once, every p reads it, and each result is mirrored. The mirror is
+    exact: |x - y| and |y - x| are the same float, the merged row lists them
+    in the same slots, and the diagonal is exactly 0."""
+    n = len(vectors)
+    rows, vals = _padded(vectors)
+    outs = [np.zeros((n, n)) for _ in ps]
+    lens = np.arange(n - 1, -1, -1)  # partners j > i of each row i
+    firsts = np.cumsum(lens) - lens  # triangle position of each row's first pair
+    total = n * (n - 1) // 2
+    step = _CHUNK // (2 * rows.shape[1]) + 1
+    for lo in range(0, total, step):
+        k = np.arange(lo, min(lo + step, total))
+        i = np.searchsorted(firsts, k, side="right") - 1
+        j = k - firsts[i] + i + 1
+        for out, norm in zip(outs, _norms(_merged(rows, vals, i, j), ps)):
+            out[i, j] = out[j, i] = norm
+    return outs
+
+
+def _padded(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray]:
+    """(len(vectors), max(1, max sparsity)) arrays of the vectors' ranks into
+    their distinct indices, padded with a rank above every one, and of their
+    values, padded with 0.0; DimensionMismatch unless the vectors share one
+    ambient dimension."""
+    if len({v.dim for v in vectors}) > 1:
+        raise DimensionMismatch("ambient dimensions differ")
+    idx = np.array([i for v in vectors for i in v.indices], dtype=np.uint64)
     lens = np.array([v.sparsity for v in vectors], dtype=np.int64)
-    rows = np.full((len(vectors), int(lens.max(initial=1))), pad, dtype=np.int64)
+    rows = np.full((len(vectors), int(lens.max(initial=1))), len(idx), dtype=np.int64)
     real = np.arange(rows.shape[1]) < lens[:, None]
-    rows[real] = rank
+    rows[real] = np.unique(idx, return_inverse=True)[1]
     val = np.zeros(rows.shape)
-    val[real] = [x * sign for v in vectors for x in v.values]
+    val[real] = [x for v in vectors for x in v.values]
     return rows, val
 
 
+def _merged(rows: np.ndarray, vals: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The merge step: for each pair (x, y) = (row i, row j) of ``_padded``
+    ranks and values, the sorted row of |x - y| slot by slot in index order,
+    a shared coordinate's difference in its first slot and 0.0 in its
+    second. Padding fills trailing slots with 0.0, which adds exactly 0 to a norm."""
+    key = np.hstack([rows[i], rows[j]])
+    order = np.argsort(key, axis=1, kind="stable")
+    key = np.take_along_axis(key, order, 1)
+    val = np.take_along_axis(np.hstack([vals[i], vals[j]]), order, 1)
+    d = np.abs(val)
+    shared = key[:, 1:] == key[:, :-1]  # x's entry, then y's
+    d[:, :-1][shared] = np.abs(val[:, :-1] - val[:, 1:])[shared]
+    d[:, 1:][shared] = 0.0
+    return d
+
+
+def _norms(d: np.ndarray, ps: Sequence[float]) -> list[np.ndarray]:
+    """The norm step: each row's top * (sum (d / top)^p)^(1/p), added slot by
+    slot, or its max at p = inf, for every p of ps. Divides `d` in place
+    unless every p is inf."""
+    top = d.max(axis=1)
+    if all(p == INF for p in ps):
+        return [top for _ in ps]
+    out = []
+    with np.errstate(invalid="ignore"):  # 0/0 on rows that np.where zeroes
+        d /= top[:, None]
+        for p in ps:
+            if p == INF:
+                out.append(top)
+                continue
+            acc = np.add.accumulate(np.float_power(d, p), axis=1)[:, -1]
+            out.append(np.where(top > 0.0, top * np.float_power(acc, 1.0 / p), 0.0))
+    return out
+
+
 def pairwise_power_dists(vectors: Sequence[SparseVector], ps: Sequence[float]) -> dict:
-    """Exact {p: (n, n) matrix of ||x_i - x_j||_p^p} over the raw vectors."""
-    dists = {p: lp_dists(vectors, vectors, p) for p in ps}
+    """Exact {p: (n, n) matrix of ||x_i - x_j||_p^p} over the raw vectors,
+    from one ``_self_dists`` walk: each unordered pair is merged once and that
+    merge serves every p; the mirror is exact, as there."""
+    dists = _self_dists(vectors, [_check_p(p) for p in ps])
     with np.errstate(over="ignore"):  # reported by _require_finite
-        return _require_finite({p: np.float_power(d, float(p)) for p, d in dists.items()})
+        return _require_finite({p: np.float_power(d, float(p)) for p, d in zip(ps, dists)})
 
 
 def _require_finite(powers: dict) -> dict:
@@ -361,7 +419,7 @@ def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int
     """(n, n) matrix of max_c ||f_c(x_i) - f_c(x_j)||_inf for all pairs: the
     largest |a_u - a_v| over the keys of two stacked images (absent = 0)."""
     n = len(vectors)
-    distinct, *_ = owners = _ownership(vectors)
+    distinct, owner_vec, owner_val, _, ocounts = owners = _ownership(vectors)
     require_hashes(copies, m, len(distinct))
     hits = np.zeros(len(distinct), dtype=np.int64)  # copies in which a coordinate collides
     out = np.zeros((n, n))  # out[u, v]: the pair's max over groups so far, seen from u
@@ -391,10 +449,16 @@ def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int
         seen = out[pu, pv]
         np.maximum(out, ranked[np.where(sizes > 0, first, len(top))][:, None], out=out)
         out[pu, pv] = np.maximum(seen, ranked[np.where(run < sizes[pu], first[pu] + run, len(top))])
-    # a coordinate alone in its bucket in some copy is held exactly there by every image
-    alone = set(distinct[hits < copies].tolist())
-    kept = [SparseVector.from_pairs([(i, x) for i, x in v.items() if i in alone], v.dim)
-            for v in vectors]
+    # a coordinate alone in its bucket in some copy is held exactly there by every
+    # image; each vector's such entries, in index order
+    keep = np.repeat(hits < copies, ocounts)
+    owner = owner_vec[keep]
+    order = np.argsort(owner, kind="stable")
+    idx = np.repeat(distinct, ocounts)[keep][order].tolist()
+    val = owner_val[keep][order].tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+    kept = [SparseVector(tuple(idx[lo:hi]), tuple(val[lo:hi]), v.dim)
+            for v, lo, hi in zip(vectors, [0, *ends], ends)]
     out = np.maximum(np.maximum(out, out.T), lp_dists(kept, kept, INF))
     np.fill_diagonal(out, 0.0)
     return out

@@ -198,6 +198,29 @@ def test_lp_dists_spanning_several_chunks(monkeypatch):
     monkeypatch.setattr(pairwise, "_CHUNK", 100)  # a few pairs per chunk, the last one partial
     for p in (2, 4, INF):
         assert (lp_dists(vecs, vecs, p) == lp_dist_matrix(vecs, vecs, p)).all()
+        # the triangle walk (ys is xs) against the rectangular one
+        assert (lp_dists(vecs, vecs, p) == lp_dists(vecs, list(vecs), p)).all()
+    # one merge read by finite ps and by inf alike
+    for p, dists in zip((2, INF, 4), pairwise._self_dists(vecs, [2.0, INF, 4.0])):
+        assert (dists == lp_dist_matrix(vecs, vecs, p)).all()
+    # one walk for several ps, each unordered pair merged once for all of them
+    merged, merge = [], pairwise._merged  # pairs per merge call
+    monkeypatch.setattr(pairwise, "_merged",
+                        lambda *args: merged.append(len(args[2])) or merge(*args))
+    ps = [1, 2, 4, 7]
+    powers = pairwise_power_dists(vecs, ps)
+    pairs = len(vecs) * (len(vecs) - 1) // 2
+    assert len(merged) > 1 and sum(merged) == pairs
+    lp_dists(vecs, vecs, 2)
+    assert sum(merged) == 2 * pairs
+    assert list(powers) == ps
+    for p in ps:
+        assert (powers[p] == np.float_power(lp_dist_matrix(vecs, vecs, p), p)).all()
+    none, one = [], vecs[3:4]
+    assert lp_dists(none, none, 2).shape == (0, 0)
+    assert pairwise_power_dists(none, [2])[2].shape == (0, 0)
+    assert lp_dists(one, one, 2).tolist() == [[0.0]]
+    assert pairwise_power_dists(one, [1, 3])[3].tolist() == [[0.0]]
 
 
 def test_lp_dists_rejects_mixed_dimensions():
@@ -206,6 +229,11 @@ def test_lp_dists_rejects_mixed_dimensions():
         lp_dists([x], [y], 2)
     with pytest.raises(DimensionMismatch):
         lp_dists([x, y], [x], 2)
+    v = [x, y]  # one list on both sides: the triangle walk checks too
+    with pytest.raises(DimensionMismatch):
+        lp_dists(v, v, 2)
+    with pytest.raises(DimensionMismatch):
+        pairwise_power_dists(v, [2])
 
 
 def test_pairwise_power_dists_match_lp_dist():

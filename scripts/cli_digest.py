@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""sha256 digests of 31 fixed-seed CLI outputs, for byte-identity checks.
+"""sha256 digests of 32 fixed-seed CLI outputs, for byte-identity checks.
 
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
-mode) and prints one `<sha256>  <label>` line per command. A wider
+mode) and prints one `<sha256>  <label>` line per command. A p = 3
+`distort` into 10 buckets over 6000 copies runs its group phase on
+batches of two 64-copy blocks, so it pins the order in which the engine
+adds the blocks' sums. A wider
 40-vector dataset adds commands whose output moves when an exact-distance
 kernel's last bits do, a p = inf `distort` of it into 20 buckets over
 three hashing blocks, where most keys are shared, and a p = 4 `distort` of
@@ -57,6 +60,7 @@ COMMANDS = {
     "distort p 2": ["distort", "--input", "DATA", "--p", "2"],
     "distort p inf linf-exact": ["distort", "--input", "DATA", "--p", "inf",
                                  "--mode", "linf-exact"],
+    "distort p 3 m 10": ["distort", "--input", "DATA", "--p", "3", "--m", "10", "--T", "6000"],
     "distort against-zero p inf sum-linf": ["distort", "--input", "DATA", "--against-zero",
                                             "--mode", "sum-linf"],
     "distort against-zero p 3": ["distort", "--input", "DATA", "--against-zero", "--p", "3",

@@ -34,17 +34,20 @@ cross-checked in the test suite against the per-copy definition. A
 (copy, bucket) that receives one distinct coordinate holds its value exactly
 in every image, so only the collision groups (those receiving two or more)
 differ from the true vectors. ``_collision_blocks`` is the one walk over
-them, ``_BLOCK`` copies at a time. ``_shared_rows`` keys each cell as
-(bucket << bits) | column and sorts each row once: the sorted buckets flag
-the copies with a shared bucket and the low bits give the members' columns
-in bucket order, ties in column order. The keys are int32 when they fit
+them. It hashes ``_BLOCK`` copies per ``bucket_grid`` call, and runs the
+group phase below once per batch of consecutive blocks whose group members
+fit ``_MEMBERS``. ``_shared_rows`` keys each cell as (bucket << bits) |
+column and sorts each row once: the sorted buckets flag the copies with a
+shared bucket and the low bits give the members' columns in bucket order,
+ties in column order. The keys are int32 when they fit
 (m - 1 < 2^(31 - bits)), which halves the sort's width, and int64 above
 that. Where they would overflow int64 (m - 1 >= 2^(63 - bits)), a stable
 argsort of the flagged rows gives the same order. The members' (group,
 owner vector, value) entries are then pooled per (group, vector) to the
 top t_u. A walk hashes every block into one workspace that it allocates up
 front, so its blocks do not map and release fresh pages; that workspace
-and the per-block arrays scale with ``_BLOCK``, not with the copy count.
+scales with ``_BLOCK`` and the group phase with the batch, neither with
+the copy count.
 
 * ``stacked_linf``: p = inf. A max over copies splits by key. Keys that
   hold one coordinate give |x_u - x_v| at each coordinate alone in some
@@ -52,11 +55,13 @@ and the per-block arrays scale with ``_BLOCK``, not with the copy count.
   The groups give the max of |t_u - t_v| over the groups both vectors hold
   and of each side's largest |t| at a group the other lacks; that sits at
   the first of u's |t|-ranks the pair does not share. A max decomposes
-  over blocks, so the blocking is exact.
+  over batches, so the batching is exact.
 * ``stacked_power_sums``: finite p. A copy without collisions contributes
   exactly the true distance, so the T-fold sum is T * D plus corrections
   at the groups, summed with segmented reductions and ``np.bincount``
-  (no Python loop per group); the first two block by block:
+  (no Python loop per group); the first two per block, one bincount keyed
+  by (block, vector) or (block, pair) per batch, then added block by block
+  in copy order, so the batching moves no bit:
 
   - per (group, vector): |t_u|^p - sum |x_u|^p over its landed entries;
     it applies to every pair of u;
@@ -86,7 +91,9 @@ from .vectors import INF, SparseVector, _check_p
 _POS_LIMIT = 1 << 62
 #: Hash evaluations (copies x distinct coordinates) one call may make.
 HASH_BUDGET = 1 << 24
-_BLOCK = 64  # copies per block; bounds every array of the correction phase
+_BLOCK = 64  # copies per block of the collision walk, whose sums add in copy order
+_MEMBERS = 1 << 12  # group members per batch of blocks, unless one block holds more
+_BATCH_SUMS = 1 << 16  # cells of a batch's per-block sums: blocks x n^2 at most
 _CHUNK = 1 << 16  # cells per chunk of lp_dists
 
 
@@ -304,52 +311,101 @@ def _shared_rows(grid: np.ndarray, bits: int | None):
 
 
 def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
-    """Per block of ``_BLOCK`` copies, the (copy, bucket) groups holding two or
-    more distinct coordinates of the ``_ownership`` tuple `owners` (of n
-    vectors). Yields the coordinate position of every group member; each
-    (group, vector) entry's vector and pooled max; the landed values sorted
-    by entry, with the entries' run starts; and the entry pairs i < j inside
-    each group. Blocks without collisions are skipped. Everywhere else a
-    coordinate lands alone and every image holds its value exactly, so a
-    kernel adds those copies from the true vectors, not from this walk.
+    """Per batch of consecutive blocks of ``_BLOCK`` copies, the (copy,
+    bucket) groups holding two or more distinct coordinates of the
+    ``_ownership`` tuple `owners` (of n vectors). Yields the coordinate
+    position of every group member; each (group, vector) entry's vector,
+    block (counted from the batch's first block) and pooled max; the landed
+    values sorted by entry, with the entries' run starts; and the entry pairs
+    i < j inside each group. Blocks without collisions are skipped.
+    Everywhere else a coordinate lands alone and every image holds its value
+    exactly, so a kernel adds those copies from the true vectors, not from
+    this walk.
+
+    A batch is the consecutive blocks whose group members fit ``_MEMBERS``
+    (or one block that holds more), at most ``_BATCH_SUMS`` // n^2 of them,
+    so a kernel's per-block sums of a batch stay within ``_BATCH_SUMS``
+    cells. A batch with room waits for the next block only while that block
+    is expected to fit in it.
 
     Each call allocates one workspace that every block reuses: the (2,
     block, k) uint64 buffer that ``bucket_grid`` hashes into and, when the
     fused keys fit int32 (m - 1 < 2^(31 - bits)), the int32 copy of the
     buckets that ``_shared_rows`` sorts. It is a local, so concurrent walks
     share nothing, and nothing yielded aliases it."""
-    distinct, owner_vec, owner_val, ostarts, ocounts = owners
-    bits = max(1, (len(distinct) - 1).bit_length())
+    k = len(owners[0])
+    bits = max(1, (k - 1).bit_length())
+    expect = _block_members(k, m)
+    span = max(1, _BATCH_SUMS // max(1, n * n))  # blocks per batch
     rows = min(_BLOCK, copies)
-    work = np.empty((2, rows, len(distinct)), dtype=np.uint64)
+    work = np.empty((2, rows, k), dtype=np.uint64)
     keys = None
     if m - 1 < 1 << (31 - bits):  # bits <= 24 under HASH_BUDGET
-        keys = np.empty((rows, len(distinct)), dtype=np.int32)
+        keys = np.empty((rows, k), dtype=np.int32)
     elif m - 1 >= 1 << (63 - bits):
         bits = None  # the fused keys would overflow int64
+    held = None  # (coordinate, opens a group, block) of the members not yet yielded
     for start in range(0, copies, _BLOCK):
         c = min(_BLOCK, copies - start)
-        grid = bucket_grid(seed, c, distinct, m, start=start, out=work[:, :c])
+        grid = bucket_grid(seed, c, owners[0], m, start=start, out=work[:, :c])
         if keys is not None:
             keys[:c] = grid
             grid = keys[:c]
-        dup, same, order = _shared_rows(grid, bits)
-        if len(dup) == 0:
-            continue
-        edge = np.zeros((len(dup), 1), dtype=bool)
-        after = np.hstack([edge, same]).ravel()  # same bucket as the previous
-        member = after | np.hstack([same, edge]).ravel()
-        # a group opens at a member whose `after` is off
-        group, coord = np.cumsum(~after[member]) - 1, order.ravel()[member]
-        # one entry per (group, owner vector, value), segmented by (group, vector)
-        pos = _expand(ostarts[coord], ocounts[coord])
-        key = np.repeat(group, ocounts[coord]) * n + owner_vec[pos]
-        order = np.argsort(key, kind="stable")
-        key, val = key[order], owner_val[pos][order]
-        seg = _run_starts(key)
-        group, vec = np.divmod(key[seg], n)
-        yield (coord, vec, np.maximum.reduceat(val, seg), val, seg,
-               _run_pairs(np.diff(_run_starts(group), append=len(seg))))
+        piece = _members(start // _BLOCK, *_shared_rows(grid, bits))
+        if piece is not None:
+            held = piece if held is None else tuple(map(np.concatenate, zip(held, piece)))
+        more = start + _BLOCK < copies
+        while held is not None:
+            # the batch: the leading blocks below `limit`, at least one, within the
+            # span and whose members fit (those before the block of member _MEMBERS)
+            block = held[2]
+            limit = block[0] + span
+            if len(block) > _MEMBERS:
+                limit = min(limit, max(block[_MEMBERS], block[0] + 1))
+            cut = np.searchsorted(block, limit)
+            room = start // _BLOCK + 1 < limit and len(block) + expect <= _MEMBERS
+            if more and cut == len(block) and room:
+                break
+            yield _batch_groups(owners, n, *(a[:cut] for a in held))
+            held = tuple(a[cut:] for a in held) if cut < len(block) else None
+
+
+def _block_members(k: int, m: int) -> float:
+    """A bound on the expected group members of a block over k distinct
+    coordinates into m buckets: min(1, (k - 1) / m) bounds the chance that a
+    coordinate shares its bucket."""
+    return _BLOCK * k * min(m, k - 1) / max(1, m)
+
+
+def _members(block: int, dup, same, order):
+    """The group members of one block, from ``_shared_rows``: their
+    coordinate positions, in copy order and by bucket within a copy; whether
+    each opens a group; and the block number. None when no copy holds a
+    group."""
+    if len(dup) == 0:
+        return None
+    edge = np.zeros((len(dup), 1), dtype=bool)
+    after = np.hstack([edge, same]).ravel()  # same bucket as the previous
+    pos = np.flatnonzero(after | np.hstack([same, edge]).ravel())
+    # a group opens at a member whose `after` is off
+    return order.ravel()[pos], ~after[pos], np.full(len(pos), block)
+
+
+def _batch_groups(owners, n: int, coord, opens, block):
+    """The groups of one batch from its members, in copy order and by bucket
+    within a copy: their coordinate positions, whether each opens a group,
+    and their blocks."""
+    _, owner_vec, owner_val, ostarts, ocounts = owners
+    group = np.cumsum(opens) - 1
+    # one entry per (group, owner vector, value), segmented by (group, vector)
+    pos = _expand(ostarts[coord], ocounts[coord])
+    key = np.repeat(group, ocounts[coord]) * n + owner_vec[pos]
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], owner_val[pos][order]
+    seg = _run_starts(key)
+    group, vec = np.divmod(key[seg], n)
+    return (coord, vec, (block[opens] - block[0])[group], np.maximum.reduceat(val, seg), val,
+            seg, _run_pairs(np.diff(_run_starts(group), append=len(seg))))
 
 
 def stacked_power_sums(
@@ -361,6 +417,10 @@ def stacked_power_sums(
     base: dict | None = None,
 ) -> dict:
     """{p: (n, n) matrix of sum_c ||f_c(x_i) - f_c(x_j)||_p^p} for all pairs.
+
+    Each batch of the ``_collision_blocks`` walk is summed per block of
+    ``_BLOCK`` copies and the blocks' sums are added in copy order, so the
+    floats do not depend on how the blocks are batched.
 
     `base` may supply precomputed ``pairwise_power_dists(vectors, ps)`` when
     the same dataset is evaluated under many seeds.
@@ -378,18 +438,23 @@ def stacked_power_sums(
     rows = {p: np.zeros(n) for p in ps}
     pairs = {p: np.zeros(n * n) for p in ps}
     hits = np.zeros(len(distinct), dtype=np.int64)  # copies in which a coordinate collides
-    for coord, seg_vec, top, val, seg, (gi, gj) in _collision_blocks(owners, n, m, copies, seed):
+    walk = _collision_blocks(owners, n, m, copies, seed)
+    for coord, seg_vec, block, top, val, seg, (gi, gj) in walk:
         hits += np.bincount(coord, minlength=len(distinct))
-        pair_key = seg_vec[gi] * n + seg_vec[gj]
+        blocks = int(block[-1]) + 1
+        row_key = block * n + seg_vec
+        pair_key = row_key[gi] * n + seg_vec[gj]
         top_abs, val_abs, gap = np.abs(top), np.abs(val), np.abs(top[gi] - top[gj])
         for p in ps:
             # an overflowed power (inf, or nan from inf - inf) is reported by _require_finite
             with np.errstate(over="ignore", invalid="ignore"):
                 tp = top_abs ** p
-                rows[p] += np.bincount(seg_vec, minlength=n,
-                                       weights=tp - np.add.reduceat(val_abs ** p, seg))
-                pairs[p] += np.bincount(pair_key, minlength=n * n,
-                                        weights=gap ** p - tp[gi] - tp[gj])
+                part = np.bincount(row_key, minlength=blocks * n,
+                                   weights=tp - np.add.reduceat(val_abs ** p, seg))
+                _add_blocks(rows[p], part)
+                part = np.bincount(pair_key, minlength=blocks * n * n,
+                                   weights=gap ** p - tp[gi] - tp[gj])
+                _add_blocks(pairs[p], part)
 
     # owner pairs of each shared coordinate, weighted by the copies it collides in
     shared = np.flatnonzero((hits > 0) & (ocounts > 1))
@@ -415,6 +480,14 @@ def stacked_power_sums(
     return _require_finite(totals)
 
 
+def _add_blocks(total: np.ndarray, part: np.ndarray) -> None:
+    """Adds to `total` the per-block sums `part` (blocks x len(total), flat)
+    one block at a time in block order: the floats of a walk that adds each
+    block's bincount in turn."""
+    for row in part.reshape(-1, len(total)):
+        total += row
+
+
 def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int) -> np.ndarray:
     """(n, n) matrix of max_c ||f_c(x_i) - f_c(x_j)||_inf for all pairs: the
     largest |a_u - a_v| over the keys of two stacked images (absent = 0)."""
@@ -423,7 +496,7 @@ def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int
     require_hashes(copies, m, len(distinct))
     hits = np.zeros(len(distinct), dtype=np.int64)  # copies in which a coordinate collides
     out = np.zeros((n, n))  # out[u, v]: the pair's max over groups so far, seen from u
-    for coord, vec, top, _, _, (a, b) in _collision_blocks(owners, n, m, copies, seed):
+    for coord, vec, _, top, _, _, (a, b) in _collision_blocks(owners, n, m, copies, seed):
         hits += np.bincount(coord, minlength=len(distinct))
         # each vector's tops ranked by |t|, largest first; slot len(top) reads 0
         order = np.lexsort((-np.abs(top), vec))

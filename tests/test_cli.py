@@ -774,5 +774,5 @@ def test_cli_digest_script_prints_one_digest_per_command():
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 31
+    assert len(lines) == 32
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

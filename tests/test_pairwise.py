@@ -472,3 +472,36 @@ def test_stacked_linf_memory_is_bounded_by_the_hashing_block():
         assert (got == np.abs(top[:, None] - top[None, :])).all()
     assert peaks[1] <= 1.05 * peaks[0]
     assert peaks[1] < 35e6  # 31.8 MB measured
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_the_batching_changes_no_bit(monkeypatch, signed):
+    # each block's sums are added in copy order, so batching the blocks'
+    # group phases moves no float: one block per batch (either budget at 1),
+    # the default budgets and one batch per kernel must agree exactly
+    rng = np.random.default_rng(707 if signed else 808)
+    vecs = [random_sparse(rng, 60, int(rng.integers(1, 7)), signed=signed) for _ in range(9)]
+    vecs += [vecs[2], SparseVector.zero(60)]  # a duplicate, a zero vector
+    ps, copies = [1.0, 2.0, 3.0, 4.0], 40 * _BLOCK + 11
+    batches, real = [], pairwise._batch_groups
+    monkeypatch.setattr(pairwise, "_batch_groups",
+                        lambda owners, n, coord, *a: batches.append(len(coord))
+                        or real(owners, n, coord, *a))
+    budgets = [(1, 1 << 30), (1 << 30, 1), (pairwise._MEMBERS, pairwise._BATCH_SUMS),
+               (1 << 30, 1 << 30)]
+    for m in (1, 3, 40):
+        got = []
+        for members, sums in budgets:
+            monkeypatch.setattr(pairwise, "_MEMBERS", members)
+            monkeypatch.setattr(pairwise, "_BATCH_SUMS", sums)
+            batches.clear()
+            got.append((stacked_power_sums(vecs, m, copies, 9 + m, ps),
+                        stacked_linf(vecs, m, copies, 9 + m)))
+            if min(members, sums) == 1:  # every block holds a group, one batch each
+                assert len(batches) == 2 * (copies // _BLOCK + 1)
+            if members == sums == 1 << 30:
+                assert len(batches) == 2
+        (sums, linf), rest = got[0], got[1:]
+        for other, other_linf in rest:
+            assert all((other[p] == sums[p]).all() for p in ps)
+            assert (other_linf == linf).all()

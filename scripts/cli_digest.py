@@ -4,7 +4,7 @@
 Writes small fixed-seed datasets with `datagen` to a temporary directory,
 runs every subcommand on them (unsigned and signed data, every planner
 mode) and prints one `<sha256>  <label>` line per command. A p = 3
-`distort` into 10 buckets over 6000 copies runs its group phase on
+`distort` into 10 buckets over 6000 copies runs its group phase on 47
 batches of two 64-copy blocks, so it pins the order in which the engine
 adds the blocks' sums. A wider
 40-vector dataset adds commands whose output moves when an exact-distance

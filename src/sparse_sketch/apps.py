@@ -253,11 +253,6 @@ def clustering_cost_from_pair_dists(dists: np.ndarray, clustering: Clustering) -
     return float(sum(per_cluster))
 
 
-def _padded_column(members: Sequence[SparseVector], coord: int) -> np.ndarray:
-    vals = [v.to_dict().get(coord, 0.0) for v in members]
-    return np.asarray(vals)
-
-
 def continuous_center(members: Sequence[SparseVector], objective: str, p) -> SparseVector:
     """Closed-form optimal center for the supported (objective, p) pairs:
     coordinate-wise median (median, p=1), centroid (means, p=2), and
@@ -270,9 +265,10 @@ def continuous_center(members: Sequence[SparseVector], objective: str, p) -> Spa
         )
     dim = members[0].dim
     union = sorted(set().union(*(set(v.indices) for v in members)))
+    entries = [v.to_dict() for v in members]
     pairs = []
     for coord in union:
-        col = _padded_column(members, coord)
+        col = np.asarray([e.get(coord, 0.0) for e in entries])  # 0.0 where absent
         if objective == "median":
             val = float(np.median(col))
         elif objective == "means":

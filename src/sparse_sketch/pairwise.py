@@ -35,19 +35,20 @@ cross-checked in the test suite against the per-copy definition. A
 in every image, so only the collision groups (those receiving two or more)
 differ from the true vectors. ``_collision_blocks`` is the one walk over
 them. It hashes ``_BLOCK`` copies per ``bucket_grid`` call, and runs the
-group phase below once per batch of consecutive blocks whose group members
-fit ``_MEMBERS``. ``_shared_rows`` keys each cell as (bucket << bits) |
-column and sorts each row once: the sorted buckets flag the copies with a
-shared bucket and the low bits give the members' columns in bucket order,
-ties in column order. The keys are int32 when they fit
-(m - 1 < 2^(31 - bits)), which halves the sort's width, and int64 above
-that. Where they would overflow int64 (m - 1 >= 2^(63 - bits)), a stable
-argsort of the flagged rows gives the same order. The members' (group,
-owner vector, value) entries are then pooled per (group, vector) to the
-top t_u. A walk hashes every block into one workspace that it allocates up
-front, so its blocks do not map and release fresh pages; that workspace
-scales with ``_BLOCK`` and the group phase with the batch, neither with
-the copy count.
+group phase below once per batch of consecutive blocks. The batch's span is
+fixed before the first hash: as many blocks as keep the expected group
+members within ``_MEMBERS``, and one at least. ``_shared_rows`` keys each
+cell as (bucket << bits) | column and sorts each row once: the sorted
+buckets flag the copies with a shared bucket and the low bits give the
+members' columns in bucket order, ties in column order. The keys are
+int32 when they fit (m - 1 < 2^(31 - bits)), which halves the sort's
+width, and int64 above that. Where they would overflow int64
+(m - 1 >= 2^(63 - bits)), a stable argsort of the flagged rows gives the
+same order. The members' (group, owner vector, value) entries are then
+pooled per (group, vector) to the top t_u. A walk hashes every block into
+one workspace that it allocates up front, so its blocks do not map and
+release fresh pages; that workspace scales with ``_BLOCK`` and the group
+phase with the batch, neither with the copy count.
 
 * ``stacked_linf``: p = inf. A max over copies splits by key. Keys that
   hold one coordinate give |x_u - x_v| at each coordinate alone in some
@@ -92,7 +93,7 @@ _POS_LIMIT = 1 << 62
 #: Hash evaluations (copies x distinct coordinates) one call may make.
 HASH_BUDGET = 1 << 24
 _BLOCK = 64  # copies per block of the collision walk, whose sums add in copy order
-_MEMBERS = 1 << 12  # group members per batch of blocks, unless one block holds more
+_MEMBERS = 1 << 12  # expected group members per batch of blocks, one block at least
 _BATCH_SUMS = 1 << 16  # cells of a batch's per-block sums: blocks x n^2 at most
 _CHUNK = 1 << 16  # cells per chunk of lp_dists
 
@@ -260,7 +261,7 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
 
 def _max_pool_keys(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The max-pool kernel: sorted distinct keys and the max of the values
-    landing on each. A 2-D `values` is pooled column by column."""
+    landing on each."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = _run_starts(keys)
@@ -315,18 +316,21 @@ def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
     bucket) groups holding two or more distinct coordinates of the
     ``_ownership`` tuple `owners` (of n vectors). Yields the coordinate
     position of every group member; each (group, vector) entry's vector,
-    block (counted from the batch's first block) and pooled max; the landed
-    values sorted by entry, with the entries' run starts; and the entry pairs
-    i < j inside each group. Blocks without collisions are skipped.
-    Everywhere else a coordinate lands alone and every image holds its value
-    exactly, so a kernel adds those copies from the true vectors, not from
-    this walk.
+    block (counted from the batch's first block that holds a group) and
+    pooled max; the landed values sorted by entry, with the entries' run
+    starts; and the entry pairs i < j inside each group. Batches without
+    collisions are skipped. Everywhere else a coordinate lands alone and
+    every image holds its value exactly, so a kernel adds those copies from
+    the true vectors, not from this walk.
 
-    A batch is the consecutive blocks whose group members fit ``_MEMBERS``
-    (or one block that holds more), at most ``_BATCH_SUMS`` // n^2 of them,
-    so a kernel's per-block sums of a batch stay within ``_BATCH_SUMS``
-    cells. A batch with room waits for the next block only while that block
-    is expected to fit in it.
+    Every batch but the last spans the same number of blocks, fixed before
+    the first hash from the k distinct coordinates, m and n: as many as keep
+    the expected group members within ``_MEMBERS`` (at least one), and at
+    most ``_BATCH_SUMS`` // n^2, so a kernel's per-block sums of a batch stay
+    within ``_BATCH_SUMS`` cells. A block of k coordinates into m buckets
+    expects at most ``_BLOCK`` * k * min(1, (k - 1) / m) members, since
+    min(1, (k - 1) / m) bounds the chance that a coordinate shares its
+    bucket. No member is carried from one batch into the next.
 
     Each call allocates one workspace that every block reuses: the (2,
     block, k) uint64 buffer that ``bucket_grid`` hashes into and, when the
@@ -335,8 +339,9 @@ def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
     share nothing, and nothing yielded aliases it."""
     k = len(owners[0])
     bits = max(1, (k - 1).bit_length())
-    expect = _block_members(k, m)
-    span = max(1, _BATCH_SUMS // max(1, n * n))  # blocks per batch
+    expect = _BLOCK * k * min(m, k - 1) / max(1, m)  # group members of a block
+    span = _BLOCK * max(1, min(int(_MEMBERS // max(1.0, expect)),
+                               _BATCH_SUMS // max(1, n * n)))  # copies per batch
     rows = min(_BLOCK, copies)
     work = np.empty((2, rows, k), dtype=np.uint64)
     keys = None
@@ -344,37 +349,19 @@ def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
         keys = np.empty((rows, k), dtype=np.int32)
     elif m - 1 >= 1 << (63 - bits):
         bits = None  # the fused keys would overflow int64
-    held = None  # (coordinate, opens a group, block) of the members not yet yielded
-    for start in range(0, copies, _BLOCK):
-        c = min(_BLOCK, copies - start)
-        grid = bucket_grid(seed, c, owners[0], m, start=start, out=work[:, :c])
-        if keys is not None:
-            keys[:c] = grid
-            grid = keys[:c]
-        piece = _members(start // _BLOCK, *_shared_rows(grid, bits))
-        if piece is not None:
-            held = piece if held is None else tuple(map(np.concatenate, zip(held, piece)))
-        more = start + _BLOCK < copies
-        while held is not None:
-            # the batch: the leading blocks below `limit`, at least one, within the
-            # span and whose members fit (those before the block of member _MEMBERS)
-            block = held[2]
-            limit = block[0] + span
-            if len(block) > _MEMBERS:
-                limit = min(limit, max(block[_MEMBERS], block[0] + 1))
-            cut = np.searchsorted(block, limit)
-            room = start // _BLOCK + 1 < limit and len(block) + expect <= _MEMBERS
-            if more and cut == len(block) and room:
-                break
-            yield _batch_groups(owners, n, *(a[:cut] for a in held))
-            held = tuple(a[cut:] for a in held) if cut < len(block) else None
-
-
-def _block_members(k: int, m: int) -> float:
-    """A bound on the expected group members of a block over k distinct
-    coordinates into m buckets: min(1, (k - 1) / m) bounds the chance that a
-    coordinate shares its bucket."""
-    return _BLOCK * k * min(m, k - 1) / max(1, m)
+    for first in range(0, copies, span):
+        pieces = []
+        for start in range(first, min(first + span, copies), _BLOCK):
+            c = min(_BLOCK, copies - start)
+            grid = bucket_grid(seed, c, owners[0], m, start=start, out=work[:, :c])
+            if keys is not None:
+                keys[:c] = grid
+                grid = keys[:c]
+            piece = _members((start - first) // _BLOCK, *_shared_rows(grid, bits))
+            if piece is not None:
+                pieces.append(piece)
+        if pieces:
+            yield _batch_groups(owners, n, *map(np.concatenate, zip(*pieces)))
 
 
 def _members(block: int, dup, same, order):

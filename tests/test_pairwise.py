@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparse_sketch import pairwise
+from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.embeddings import stack_embed
 from sparse_sketch.errors import DimensionMismatch, PreconditionError
 from sparse_sketch.hashing import HashSpec, hash_bucket
@@ -505,3 +506,24 @@ def test_the_batching_changes_no_bit(monkeypatch, signed):
         for other, other_linf in rest:
             assert all((other[p] == sums[p]).all() for p in ps)
             assert (other_linf == linf).all()
+
+
+@pytest.mark.parametrize("n, s, d, m, copies, seed, spans", [
+    (25, 10, 10**4, 10**4, 1381, 7, [10, 10, 2]),  # the pairs-allp shape
+    (100, 10, 10**4, 10**4, 1727, 7, [1] * 27),  # the criterion-03 shape: n^2 fills a batch
+    (8, 3, 500, 10, 6000, 0, [2] * 47),  # the `distort p 3 m 10` digest: members fill it
+])
+def test_the_batch_span_is_fixed_up_front(monkeypatch, n, s, d, m, copies, seed, spans):
+    # the blocks each batch spans, from the first to the last that holds a
+    # group (every block does here); the batch phase's gain rests on them
+    got, real = [], pairwise._batch_groups
+
+    def batch_groups(owners, n, coord, opens, block):
+        got.append(int(block[-1] - block[0]) + 1)
+        return real(owners, n, coord, opens, block)
+
+    monkeypatch.setattr(pairwise, "_batch_groups", batch_groups)
+    vecs = random_nonneg_dataset(n, s, d, seed=1).vectors
+    stacked_power_sums(vecs, m, copies, seed, [2.0])
+    assert got == spans
+    assert sum(spans) == -(-copies // _BLOCK)

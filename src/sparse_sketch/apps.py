@@ -11,7 +11,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import require_cells
 from .errors import PatternBudgetError, PreconditionError
 from .hashing import bucket_grid
 from .pairwise import (
@@ -28,6 +27,7 @@ from .vectors import (
     SparseVector,
     _check_p,
     _read_only,
+    require_cells,
     require_nonneg,
 )
 
@@ -442,7 +442,8 @@ def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> Distance
 def distance_sums(dataset: Dataset, ys: Sequence[SparseVector], p) -> list[float]:
     """Brute-force sum_x ||x - y||_p^p for each y of ys, from one
     ``lp_dists`` matrix: a Python sum of d ** p down each column, inf where
-    a p-th power leaves float range."""
+    a p-th power leaves float range. ``lp_dists`` checks the len(dataset) x
+    len(ys) matrix against CELL_BUDGET before allocating it."""
     p = _check_p(p)
     out = []
     for column in lp_dists(dataset.vectors, ys, p).T.tolist():

@@ -33,7 +33,6 @@ from .apps import (
 from .embeddings import (
     EmbedParams,
     plan_params,
-    require_cells,
     with_overrides,
 )
 from .errors import (
@@ -51,7 +50,7 @@ from .probes import (
     preservation_trials,
     unif_draws,
 )
-from .vectors import INF, _dense_norm, lp_norm
+from .vectors import INF, _dense_norm, lp_norm, require_cells
 
 _SLACK = 1e-9
 

@@ -31,21 +31,9 @@ import numpy as np
 
 from .errors import EmbeddingMismatch, ParseError, PreconditionError
 from .pairwise import stacked_image
-from .vectors import SparseVector, _check_p, _dense_norm, require_nonneg
+from .vectors import SparseVector, _check_p, _dense_norm, require_cells, require_nonneg
 
 MODES = ("all-p", "linf-exact", "sum-linf", "discrete")
-
-# Largest float64 array (2^26 cells, 512 MiB) a stacked row, the
-# estimator's tables or a diameter sketch may take; the tests and
-# benchmarks stay below 2^22.
-CELL_BUDGET = 1 << 26
-
-
-def require_cells(cells: int, what: str) -> None:
-    """PreconditionError unless `cells` fits in CELL_BUDGET."""
-    if cells > CELL_BUDGET:
-        raise PreconditionError(f"{what} needs {cells} cells, above the budget of {CELL_BUDGET}")
-
 
 @dataclass(frozen=True)
 class EmbedParams:

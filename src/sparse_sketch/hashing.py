@@ -77,8 +77,10 @@ def hash_bucket(spec: HashSpec, j: int) -> int:
     return mix64(spec.key() ^ (j & _MASK64)) % spec.m
 
 
-# consecutive calls on one hash family (each vector's stacked image, each
-# estimator query) derive the same keys; the last call's stay cached
+# one key per copy index, derived in ranges: consecutive calls on one hash
+# family (each vector's stacked image, each estimator query) derive the same
+# range, and a collision walk passes one range (`span`) for all its blocks,
+# so either derives its keys once; the last range's keys stay cached
 @functools.lru_cache(maxsize=1)
 def _copy_keys(seed: int, start: int, copies: int) -> np.ndarray:
     """Read-only per-copy keys of copy_index start..start+copies-1: the
@@ -93,7 +95,8 @@ def _copy_keys(seed: int, start: int, copies: int) -> np.ndarray:
 
 
 def bucket_grid(seed: int, copies: int, indices: np.ndarray, m: int,
-                start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+                start: int = 0, out: np.ndarray | None = None,
+                span: tuple[int, int] | None = None) -> np.ndarray:
     """Buckets for `indices` under copy_index start..start+copies-1; shape
     (copies, len), int64.
 
@@ -101,14 +104,20 @@ def bucket_grid(seed: int, copies: int, indices: np.ndarray, m: int,
     buffer will do), spares the call its two grid-sized allocations: the
     buckets are written into out[0] and returned as its int64 view, and
     out[1] is the scratch of the mixing and then holds the quotient h // m.
-    A walk over blocks of copies passes the same buffer for every block."""
+    A walk over blocks of copies passes the same buffer for every block.
+
+    `span`, a range (first, count) of copy indices that holds the call's
+    copies, has the keys of the whole range derived (and cached) at once: a
+    walk passes the same range for every block inside it."""
     idx = np.asarray(indices, dtype=np.uint64)
     if out is None:
         h = np.empty((copies, len(idx)), dtype=np.uint64)
         t = np.empty_like(h)
     else:
         h, t = out
-    np.bitwise_xor(_copy_keys(seed, start, copies)[:, None], idx[None, :], out=h)
+    first, count = span or (start, copies)
+    keys = _copy_keys(seed, first, count)[start - first:start - first + copies]
+    np.bitwise_xor(keys[:, None], idx[None, :], out=h)
     _mix64_u64(h, t)
     # h % m, in place: numpy divides a uint64 array by a scalar through
     # libdivide, several times faster than its uint64 remainder

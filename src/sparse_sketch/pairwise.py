@@ -45,7 +45,12 @@ int32 when they fit (m - 1 < 2^(31 - bits)), which halves the sort's
 width, and int64 above that. Where they would overflow int64
 (m - 1 >= 2^(63 - bits)), a stable argsort of the flagged rows gives the
 same order. The members' (group, owner vector, value) entries are then
-pooled per (group, vector) to the top t_u. A walk hashes every block into
+pooled per (group, vector) to the top t_u, and the vector pairs inside
+each group are listed by offset: for d = 1, 2, ... the positions i whose
+group equals that of i + d, merged into (i, j) order by one sort
+(``_group_pairs``, also behind the owner pairs of a shared coordinate).
+That order fixes the order in which ``np.bincount`` adds the pair terms.
+Each batch is one ``_Batch`` record. A walk hashes every block into
 one workspace that it allocates up front, so its blocks do not map and
 release fresh pages; that workspace scales with ``_BLOCK`` and the group
 phase with the batch, neither with the copy count.
@@ -65,7 +70,10 @@ phase with the batch, neither with the copy count.
   in copy order, so the batching moves no bit:
 
   - per (group, vector): |t_u|^p - sum |x_u|^p over its landed entries;
-    it applies to every pair of u;
+    it applies to every pair of u. With one landed value it is |x|^p -
+    |x|^p = +0.0, which moves no bit of a sum that never holds -0.0, so
+    only the segments holding two or more values are summed (0.5% of them
+    at the criterion-03 shape);
   - per owner pair in a group: |t_u - t_v|^p - |t_u|^p - |t_v|^p;
   - per coordinate owned by both u and v: |x_u - x_v|^p - |x_u|^p -
     |x_v|^p, subtracted once per copy in which that coordinate collides.
@@ -76,18 +84,20 @@ phase with the batch, neither with the copy count.
   distance (equal vectors, so equal images) are set to exactly 0.
 
 Both power-sum functions raise PreconditionError when a p-th power
-overflows (a large p), rather than return inf or nan.
+overflows (a large p), rather than return inf or nan. Every function that
+returns a matrix of pairs raises it before allocating one whose cells
+exceed CELL_BUDGET (n <= 8192 for n x n).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionError
 from .hashing import bucket_grid
-from .vectors import INF, SparseVector, _check_p
+from .vectors import INF, SparseVector, _check_p, require_cells
 
 _POS_LIMIT = 1 << 62
 #: Hash evaluations (copies x distinct coordinates) one call may make.
@@ -135,6 +145,7 @@ def lp_dists(xs: Sequence[SparseVector], ys: Sequence[SparseVector], p) -> np.nd
     p = _check_p(p)
     if ys is xs:
         return _self_dists(xs, [p])[0]
+    require_cells(len(xs) * len(ys), "pair matrix")
     rows, vals = _padded([*xs, *ys])
     out = np.zeros(len(xs) * len(ys))
     step = _CHUNK // (2 * rows.shape[1]) + 1
@@ -151,6 +162,7 @@ def _self_dists(vectors: Sequence[SparseVector], ps: Sequence[float]) -> list[np
     exact: |x - y| and |y - x| are the same float, the merged row lists them
     in the same slots, and the diagonal is exactly 0."""
     n = len(vectors)
+    require_cells(n * n, "pair matrix")
     rows, vals = _padded(vectors)
     outs = [np.zeros((n, n)) for _ in ps]
     lens = np.arange(n - 1, -1, -1)  # partners j > i of each row i
@@ -275,14 +287,29 @@ def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
 
 
-def _run_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j inside each run of consecutive positions whose
-    lengths are `counts`."""
-    ends = np.repeat(np.cumsum(counts), counts)
-    idx = np.arange(len(ends), dtype=np.int64)
-    partners = ends - idx - 1
-    i = np.repeat(idx, partners)
-    return i, i + 1 + _expand(np.zeros_like(partners), partners)
+def _group_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of equal entries of the sorted array `labels`, in
+    (i, j) order. They are listed by offset d = j - i = 1, 2, ... while any
+    pair has it, and, when a run has three or more entries, merged by one
+    sort of the distinct keys (i << bits) | d."""
+    parts = [np.flatnonzero(labels[1:] == labels[:-1])]
+    while len(parts[-1]):
+        d = len(parts) + 1
+        parts.append(np.flatnonzero(labels[d:] == labels[:-d]))
+    if len(parts) <= 2:
+        return parts[0], parts[0] + 1
+    bits = len(parts).bit_length()  # every offset is below len(parts)
+    key, lo = np.concatenate(parts), 0
+    key <<= bits
+    for d, part in enumerate(parts, 1):
+        key[lo:lo + len(part)] |= d
+        lo += len(part)
+    del parts  # a group of n vectors has n^2 / 2 pairs: hold two arrays of them at most
+    key.sort()
+    i = key >> bits
+    key &= (1 << bits) - 1
+    key += i
+    return i, key
 
 
 def _shared_rows(grid: np.ndarray, bits: int | None):
@@ -314,14 +341,10 @@ def _shared_rows(grid: np.ndarray, bits: int | None):
 def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
     """Per batch of consecutive blocks of ``_BLOCK`` copies, the (copy,
     bucket) groups holding two or more distinct coordinates of the
-    ``_ownership`` tuple `owners` (of n vectors). Yields the coordinate
-    position of every group member; each (group, vector) entry's vector,
-    block (counted from the batch's first block that holds a group) and
-    pooled max; the landed values sorted by entry, with the entries' run
-    starts; and the entry pairs i < j inside each group. Batches without
-    collisions are skipped. Everywhere else a coordinate lands alone and
-    every image holds its value exactly, so a kernel adds those copies from
-    the true vectors, not from this walk.
+    ``_ownership`` tuple `owners` (of n vectors), as one ``_Batch`` each.
+    Batches without collisions are skipped. Everywhere else a coordinate
+    lands alone and every image holds its value exactly, so a kernel adds
+    those copies from the true vectors, not from this walk.
 
     Every batch but the last spans the same number of blocks, fixed before
     the first hash from the k distinct coordinates, m and n: as many as keep
@@ -336,7 +359,10 @@ def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
     block, k) uint64 buffer that ``bucket_grid`` hashes into and, when the
     fused keys fit int32 (m - 1 < 2^(31 - bits)), the int32 copy of the
     buckets that ``_shared_rows`` sorts. It is a local, so concurrent walks
-    share nothing, and nothing yielded aliases it."""
+    share nothing, and nothing yielded aliases it. The copies' keys are
+    derived once per range of ``_BLOCK`` * max(``_BLOCK``, k) copies, no
+    more keys than one plane of the workspace holds cells (or 4096): one
+    range at both benchmark shapes."""
     k = len(owners[0])
     bits = max(1, (k - 1).bit_length())
     expect = _BLOCK * k * min(m, k - 1) / max(1, m)  # group members of a block
@@ -344,6 +370,7 @@ def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
                                _BATCH_SUMS // max(1, n * n)))  # copies per batch
     rows = min(_BLOCK, copies)
     work = np.empty((2, rows, k), dtype=np.uint64)
+    keyed = _BLOCK * max(_BLOCK, k)  # copies whose keys bucket_grid derives at once
     keys = None
     if m - 1 < 1 << (31 - bits):  # bits <= 24 under HASH_BUDGET
         keys = np.empty((rows, k), dtype=np.int32)
@@ -352,8 +379,9 @@ def _collision_blocks(owners, n: int, m: int, copies: int, seed: int):
     for first in range(0, copies, span):
         pieces = []
         for start in range(first, min(first + span, copies), _BLOCK):
-            c = min(_BLOCK, copies - start)
-            grid = bucket_grid(seed, c, owners[0], m, start=start, out=work[:, :c])
+            c, lo = min(_BLOCK, copies - start), start - start % keyed
+            grid = bucket_grid(seed, c, owners[0], m, start=start, out=work[:, :c],
+                               span=(lo, min(keyed, copies - lo)))
             if keys is not None:
                 keys[:c] = grid
                 grid = keys[:c]
@@ -378,21 +406,42 @@ def _members(block: int, dup, same, order):
     return order.ravel()[pos], ~after[pos], np.full(len(pos), block)
 
 
-def _batch_groups(owners, n: int, coord, opens, block):
-    """The groups of one batch from its members, in copy order and by bucket
-    within a copy: their coordinate positions, whether each opens a group,
-    and their blocks."""
+class _Batch(NamedTuple):
+    """One batch of the ``_collision_blocks`` walk; per (group, vector)
+    segment means in group order and by vector within a group."""
+
+    coord: np.ndarray  # each group member's coordinate position
+    vec: np.ndarray  # per segment: its vector,
+    block: np.ndarray  # its block, counted from the batch's first with a group,
+    top: np.ndarray  # and its pooled max
+    multi: np.ndarray  # the segments holding two or more landed values,
+    held: np.ndarray  # those values in segment order,
+    runs: np.ndarray  # and each segment's start in `held`
+    i: np.ndarray  # the segment pairs i < j inside each group, in (i, j) order
+    j: np.ndarray
+
+
+def _batch_groups(owners, n: int, coord, opens, block) -> _Batch:
+    """The ``_Batch`` of one batch's group members, given in copy order and
+    by bucket within a copy: their coordinate positions, whether each opens
+    a group, and their blocks."""
     _, owner_vec, owner_val, ostarts, ocounts = owners
-    group = np.cumsum(opens) - 1
     # one entry per (group, owner vector, value), segmented by (group, vector)
-    pos = _expand(ostarts[coord], ocounts[coord])
-    key = np.repeat(group, ocounts[coord]) * n + owner_vec[pos]
+    counts = ocounts[coord]
+    pos = _expand(ostarts[coord], counts)
+    group = np.repeat(np.cumsum(opens) - 1, counts)
+    key = group * n + owner_vec[pos]
     order = np.argsort(key, kind="stable")
-    key, val = key[order], owner_val[pos][order]
-    seg = _run_starts(key)
-    group, vec = np.divmod(key[seg], n)
-    return (coord, vec, (block[opens] - block[0])[group], np.maximum.reduceat(val, seg), val,
-            seg, _run_pairs(np.diff(_run_starts(group), append=len(seg))))
+    seg = _run_starts(key[order])
+    first, pos = order[seg], pos[order]
+    group, val = group[first], owner_val[pos]
+    sizes = np.diff(seg, append=len(val))
+    multi = np.flatnonzero(sizes > 1)
+    lens = sizes[multi]
+    i, j = _group_pairs(group)
+    return _Batch(coord, owner_vec[pos[seg]], (block[opens] - block[0])[group],
+                  np.maximum.reduceat(val, seg), multi, val[_expand(seg[multi], lens)],
+                  np.cumsum(lens) - lens, i, j)
 
 
 def stacked_power_sums(
@@ -407,12 +456,16 @@ def stacked_power_sums(
 
     Each batch of the ``_collision_blocks`` walk is summed per block of
     ``_BLOCK`` copies and the blocks' sums are added in copy order, so the
-    floats do not depend on how the blocks are batched.
+    floats do not depend on how the blocks are batched. Only the (group,
+    vector) segments holding two or more landed values carry a non-zero row
+    term, so the row sums run over those alone; the pair terms run over the
+    group's vector pairs, listed by offset (``_group_pairs``).
 
     `base` may supply precomputed ``pairwise_power_dists(vectors, ps)`` when
     the same dataset is evaluated under many seeds.
     """
     n = len(vectors)
+    require_cells(n * n, "pair matrix")
     ps = [float(p) for p in ps]
     distinct, owner_vec, owner_val, ostarts, ocounts = owners = _ownership(vectors)
     require_hashes(copies, m, len(distinct))
@@ -425,29 +478,32 @@ def stacked_power_sums(
     rows = {p: np.zeros(n) for p in ps}
     pairs = {p: np.zeros(n * n) for p in ps}
     hits = np.zeros(len(distinct), dtype=np.int64)  # copies in which a coordinate collides
-    walk = _collision_blocks(owners, n, m, copies, seed)
-    for coord, seg_vec, block, top, val, seg, (gi, gj) in walk:
-        hits += np.bincount(coord, minlength=len(distinct))
-        blocks = int(block[-1]) + 1
-        row_key = block * n + seg_vec
-        pair_key = row_key[gi] * n + seg_vec[gj]
-        top_abs, val_abs, gap = np.abs(top), np.abs(val), np.abs(top[gi] - top[gj])
+    for b in _collision_blocks(owners, n, m, copies, seed):
+        hits += np.bincount(b.coord, minlength=len(distinct))
+        blocks = int(b.block[-1]) + 1
+        row_key = b.block * n + b.vec
+        pair_key = row_key[b.i] * n + b.vec[b.j]
+        multi_key = row_key[b.multi]
+        top_abs, held_abs = np.abs(b.top), np.abs(b.held)
+        gap = np.abs(b.top[b.i] - b.top[b.j])
         for p in ps:
             # an overflowed power (inf, or nan from inf - inf) is reported by _require_finite
             with np.errstate(over="ignore", invalid="ignore"):
                 tp = top_abs ** p
-                part = np.bincount(row_key, minlength=blocks * n,
-                                   weights=tp - np.add.reduceat(val_abs ** p, seg))
+                # the row terms of one-value segments are +0.0, so they are left out
+                part = np.bincount(multi_key, minlength=blocks * n,
+                                   weights=tp[b.multi] - np.add.reduceat(held_abs ** p, b.runs))
                 _add_blocks(rows[p], part)
                 part = np.bincount(pair_key, minlength=blocks * n * n,
-                                   weights=gap ** p - tp[gi] - tp[gj])
+                                   weights=gap ** p - tp[b.i] - tp[b.j])
                 _add_blocks(pairs[p], part)
 
     # owner pairs of each shared coordinate, weighted by the copies it collides in
     shared = np.flatnonzero((hits > 0) & (ocounts > 1))
     opos = _expand(ostarts[shared], ocounts[shared])
-    ci, cj = _run_pairs(ocounts[shared])
-    c_hits = np.repeat(hits[shared], ocounts[shared])[ci].astype(np.float64)
+    label = np.repeat(shared, ocounts[shared])
+    ci, cj = _group_pairs(label)
+    c_hits = hits[label[ci]].astype(np.float64)
     cx, cy = owner_val[opos[ci]], owner_val[opos[cj]]
     cx_abs, cy_abs, c_gap = np.abs(cx), np.abs(cy), np.abs(cx - cy)
     c_key = owner_vec[opos[ci]] * n + owner_vec[opos[cj]]
@@ -479,12 +535,14 @@ def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int
     """(n, n) matrix of max_c ||f_c(x_i) - f_c(x_j)||_inf for all pairs: the
     largest |a_u - a_v| over the keys of two stacked images (absent = 0)."""
     n = len(vectors)
+    require_cells(n * n, "pair matrix")
     distinct, owner_vec, owner_val, _, ocounts = owners = _ownership(vectors)
     require_hashes(copies, m, len(distinct))
     hits = np.zeros(len(distinct), dtype=np.int64)  # copies in which a coordinate collides
     out = np.zeros((n, n))  # out[u, v]: the pair's max over groups so far, seen from u
-    for coord, vec, _, top, _, _, (a, b) in _collision_blocks(owners, n, m, copies, seed):
-        hits += np.bincount(coord, minlength=len(distinct))
+    for batch in _collision_blocks(owners, n, m, copies, seed):
+        hits += np.bincount(batch.coord, minlength=len(distinct))
+        vec, top, a, b = batch.vec, batch.top, batch.i, batch.j
         # each vector's tops ranked by |t|, largest first; slot len(top) reads 0
         order = np.lexsort((-np.abs(top), vec))
         ranked = np.append(np.abs(top[order]), 0.0)

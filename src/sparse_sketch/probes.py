@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import require_cells
 from .errors import (
     InternalCheckError,
     PreconditionColumns,
@@ -23,7 +22,7 @@ from .errors import (
     PreconditionShape,
 )
 from .hashing import HashSpec, bucket_grid, derive_seed
-from .vectors import INF, SparseVector, _check_p, _dense_norm, _read_only
+from .vectors import INF, SparseVector, _check_p, _dense_norm, _read_only, require_cells
 
 _EXACT_RTOL = 1e-9
 _GRAM_CELLS = 1 << 20  # Gram entries or support scores per block of trials (8 MB)

@@ -13,11 +13,16 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonNegativeRequired
+from .errors import DimensionMismatch, NonNegativeRequired, PreconditionError
 
 #: Distinguished marker for the max norm. Not a stand-in "large float":
 #: every norm routine special-cases it.
 INF = math.inf
+
+# Largest float64 array (2^26 cells, 512 MiB) a stacked row, the
+# estimator's tables, a diameter sketch or an n x n matrix of pairs may
+# take; the tests and benchmarks stay below 2^22.
+CELL_BUDGET = 1 << 26
 
 
 def _check_p(p) -> float:
@@ -194,6 +199,12 @@ def sum_vectors(x: SparseVector, y: SparseVector) -> SparseVector:
 def diff_vectors(x: SparseVector, y: SparseVector) -> SparseVector:
     """Exact sparse difference x - y."""
     return _merge(x, y, -1.0)
+
+
+def require_cells(cells: int, what: str) -> None:
+    """PreconditionError unless `cells` fits in CELL_BUDGET."""
+    if cells > CELL_BUDGET:
+        raise PreconditionError(f"{what} needs {cells} cells, above the budget of {CELL_BUDGET}")
 
 
 def require_nonneg(*vectors: SparseVector, what: str = "operation") -> None:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr
 from io import StringIO
 from pathlib import Path
@@ -632,6 +633,33 @@ def test_overflowing_powers_are_precondition_errors(tmp_path, argv):
     assert run.returncode == 3 and "overflow a float" in run.stderr
     assert "Warning" not in run.stderr and "Traceback" not in run.stderr
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def past_the_pair_budget(tmp_path_factory):
+    # 8193 vectors: one past n = 8192, the most whose n x n matrix fits the
+    # 2^26-cell budget; a 0.7 MB file whose float matrix would take 537 MB
+    return write_data(tmp_path_factory.mktemp("big"), n=8193, s=3, d=10**6)[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["distort", "--p", "2"],
+    ["distort", "--p", "inf"],
+    ["apps", "diameter"],
+], ids=["distort-p2", "distort-pinf", "diameter"])
+def test_all_pairs_past_the_cell_budget_are_precondition_errors(tmp_path, capsys, argv,
+                                                               past_the_pair_budget):
+    # a 20,000-vector file used to end in numpy's _ArrayMemoryError traceback
+    out = tmp_path / "o.csv"
+    tracemalloc.start()
+    try:
+        rc, err = _run(argv + ["--input", past_the_pair_budget, "--output", str(out)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3 and "pair matrix" in err and "Traceback" not in err
+    assert not out.exists()
+    assert peak < 40e6  # the check comes before any n x n array
 
 
 @pytest.mark.parametrize("argv", [

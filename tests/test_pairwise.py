@@ -1,10 +1,13 @@
+import functools
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparse_sketch import pairwise
+from sparse_sketch import hashing, pairwise
 from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.embeddings import stack_embed
 from sparse_sketch.errors import DimensionMismatch, PreconditionError
@@ -527,3 +530,115 @@ def test_the_batch_span_is_fixed_up_front(monkeypatch, n, s, d, m, copies, seed,
     stacked_power_sums(vecs, m, copies, seed, [2.0])
     assert got == spans
     assert sum(spans) == -(-copies // _BLOCK)
+
+
+def _heavy_collision_cases():
+    # m = 20 for ~190 distinct coordinates: most buckets pool several, and a
+    # vector often lands two of its own values in one group
+    vecs = random_nonneg_dataset(30, 10, 200, seed=5).vectors
+    rng = np.random.default_rng(31)
+    signed = [random_sparse(rng, 200, int(rng.integers(1, 11)), signed=True) for _ in range(20)]
+    signed += [signed[3], signed[3], SparseVector.zero(200), signed[7]]  # duplicates, a zero
+    return [(list(vecs), 0), (signed, 1)]
+
+
+@pytest.mark.parametrize("vecs, seed", _heavy_collision_cases(), ids=["nonneg", "signed"])
+def test_the_rare_group_paths_match_the_per_copy_tables(monkeypatch, vecs, seed):
+    # the segments with two or more landed values (the only non-zero row
+    # terms), coordinates with several owners and groups of three or more
+    # vectors (pairs past offset 1) are rare at the benchmark shapes
+    m, T, ps = 20, 3 * _BLOCK + 5, [1.0, 2.0, 3.0, 4.0]
+    batches, real = [], pairwise._batch_groups
+
+    def batch_groups(owners, n, coord, opens, block):
+        batch = real(owners, n, coord, opens, block)
+        batches.append((owners[4][coord], batch))
+        return batch
+
+    monkeypatch.setattr(pairwise, "_batch_groups", batch_groups)
+    sums = stacked_power_sums(vecs, m, T, seed, ps)
+    linf = stacked_linf(vecs, m, T, seed)
+    assert any(len(b.multi) for _, b in batches)
+    assert any((owned > 1).any() for owned, _ in batches)
+    assert any((b.j - b.i > 1).any() for _, b in batches)
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            tables = pair_copy_tables(vecs[i], vecs[j], m, T, seed, ps=ps)
+            for p in ps:
+                assert sums[p][i, j] == pytest.approx(float(tables[p].sum()), rel=1e-12)
+            assert linf[i, j] == naive_stack_linf(vecs[i], vecs[j], m, T, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=12))
+def test_group_pairs_are_every_pair_of_each_run_in_order(runs):
+    labels = np.repeat(np.arange(len(runs)), runs)
+    i, j = pairwise._group_pairs(labels)
+    starts = np.cumsum([0, *runs])
+    expect = [(a, b) for lo, hi in zip(starts[:-1], starts[1:])
+              for a in range(lo, hi) for b in range(a + 1, hi)]
+    assert list(zip(i.tolist(), j.tolist())) == expect
+
+
+@pytest.fixture
+def derived_keys(monkeypatch):
+    """The copy counts of every copy-key derivation, behind a fresh cache."""
+    counts, derive = [], hashing._copy_keys.__wrapped__
+
+    def counted(seed, start, copies):
+        counts.append(copies)
+        return derive(seed, start, copies)
+
+    monkeypatch.setattr(hashing, "_copy_keys", functools.lru_cache(maxsize=1)(counted))
+    return counts
+
+
+def test_a_walk_hashes_every_cell_and_derives_its_keys_once(monkeypatch, derived_keys):
+    # the tracer counts hashing.keys from bucket_grid's arguments, so every
+    # block goes through it; the keys behind them are derived once per walk
+    vecs = random_nonneg_dataset(100, 10, 10**4, seed=1).vectors  # the criterion-03 shape
+    k, copies = len({j for v in vecs for j in v.indices}), 1727
+    cells, real = [], pairwise.bucket_grid
+    monkeypatch.setattr(pairwise, "bucket_grid", lambda seed, copies, indices, *a, **kw:
+                        cells.append(copies * len(indices)) or real(seed, copies, indices,
+                                                                    *a, **kw))
+    base = pairwise_power_dists(vecs, [2.0])
+    for seed, walk in enumerate([
+            lambda seed: stacked_power_sums(vecs, 10**4, copies, seed, [2.0], base=base),
+            lambda seed: stacked_linf(vecs, 10**4, copies, seed)]):
+        cells.clear()
+        derived_keys.clear()
+        walk(seed)
+        assert sum(cells) == copies * k
+        assert derived_keys == [copies]
+
+
+@pytest.mark.parametrize("k, copies", [(2, 3 * 4096 + 100), (150, 2 * 64 * 150 + 1)])
+def test_a_long_walk_derives_its_keys_in_bounded_ranges(derived_keys, k, copies):
+    # key memory does not grow with the copy count: at most one workspace
+    # plane (64 x k keys) or 4096 keys per derivation, each range derived once
+    vecs = [SparseVector.from_pairs({j: 1.0 + j % 3}, k) for j in range(k)]
+    stacked_power_sums(vecs, 10**6, copies, 3, [2.0])
+    assert max(derived_keys) <= max(_BLOCK * k, 4096)
+    assert sum(derived_keys) == copies
+    assert len(derived_keys) == -(-copies // max(derived_keys))
+
+
+def test_consecutive_images_of_one_family_derive_their_keys_once(derived_keys):
+    # an estimator's queries: one image of each query under its R copies
+    rng = np.random.default_rng(4)
+    for _ in range(43):
+        stacked_image(random_sparse(rng, 10**4, 5), 400, 43, 17)
+    assert derived_keys == [43]
+
+
+def test_pair_matrices_past_the_cell_budget_are_precondition_errors():
+    # 8193^2 cells are one past 2^26; each kernel checks before any n x n array
+    zeros = [SparseVector.zero(5)] * 8193
+    for call in (lambda: lp_dists(zeros, zeros, 2.0), lambda: lp_dists(zeros, zeros[1:], INF),
+                 lambda: lp_dists(zeros[:4097], zeros + zeros, 1.0),
+                 lambda: pairwise_power_dists(zeros, [2.0]),
+                 lambda: stacked_power_sums(zeros, 10, 4, 0, [2.0]),
+                 lambda: stacked_linf(zeros, 10, 4, 0)):
+        with pytest.raises(PreconditionError, match="pair matrix"):
+            call()

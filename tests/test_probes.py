@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sparse_sketch import probes
-from sparse_sketch.embeddings import CELL_BUDGET
 from sparse_sketch.errors import (
     InternalCheckError,
     PreconditionColumns,
@@ -24,7 +23,7 @@ from sparse_sketch.probes import (
     preservation_trials,
     unif_draws,
 )
-from sparse_sketch.vectors import SparseVector
+from sparse_sketch.vectors import CELL_BUDGET, SparseVector
 
 
 # --- random sparse Gaussian draws

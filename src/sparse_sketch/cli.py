@@ -118,26 +118,28 @@ def _embedded_dists(vecs, params, seed, p, base=None) -> np.ndarray:
 
 
 def _distort_pairs(args, dataset, params, seed):
+    """The pair rows in (i, j) order as a generator, so the report is written
+    as it is formatted, then the summary rows from the upper-triangle arrays."""
     p = args.p if args.p is not None else 2.0
-    rows = []
-    ratios = []
     vecs, ids = dataset.vectors, dataset.ids
-    n = len(vecs)
     true_d = lp_dists(vecs, vecs, p)
     with np.errstate(over="ignore"):  # the engine's finiteness check reports it
         base = None if p == INF else {float(p): true_d ** p}
     emb_d = _embedded_dists(vecs, params, seed, p, base=base)
-    for i in range(n):
-        for j in range(i + 1, n):
-            true, emb = float(true_d[i, j]), float(emb_d[i, j])
-            ratio = emb / true if true > 0 else None
-            if ratio is not None:
-                ratios.append(ratio)
-            rows.append((f"{ids[i]}|{ids[j]}", p, true, emb, ratio))
-    if ratios:
-        rows.append(("summary-max", p, "", "", max(ratios)))
-        rows.append(("summary-mean", p, "", "", float(np.mean(ratios))))
-    return ["pair", "p", "true", "embedded", "ratio"], rows
+    n = len(vecs)
+    upper = np.triu(true_d > 0, 1)  # the pairs that have a ratio, read in (i, j) order
+    ratios = emb_d[upper] / true_d[upper]
+
+    def rows():
+        for i in range(n):
+            for j, true, emb in zip(range(i + 1, n), true_d[i, i + 1:].tolist(),
+                                    emb_d[i, i + 1:].tolist()):
+                yield (f"{ids[i]}|{ids[j]}", p, true, emb, emb / true if true > 0 else None)
+        if ratios.size:
+            yield ("summary-max", p, "", "", float(ratios.max()))
+            yield ("summary-mean", p, "", "", float(np.mean(ratios)))
+
+    return ["pair", "p", "true", "embedded", "ratio"], rows()
 
 
 def _distort_norms(args, dataset, params, seed):

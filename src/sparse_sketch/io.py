@@ -14,10 +14,12 @@ reproducible from its own header.
 
 The embedding CSV (`id,v0,...,v{width-1}`, one row of width = m * T cells
 per vector) is written in binary mode, straight from each vector's sparse
-image: `_image_cells` emits runs of `,0.0` between the sorted keys and the
-repr of the value at each key, so no dense m * T row is built, and the
-header comes from `_column_names` as one uint8 block per digit count. The
-dense-map writer formats its rows with the same `_image_cells`.
+image, and no buffer grows with the width. `_column_names` yields the
+header in chunks of at most 16,000 names, copied from one 1000-name period
+per digit count; `_image_cells` gives each row as a list of parts that are
+written in turn: slices of one shared run of `,0.0` cells for the gaps
+between the sorted keys, and the repr of each distinct value at its keys.
+The dense-map writer formats its rows with the same `_image_cells`.
 """
 
 from __future__ import annotations
@@ -41,59 +43,96 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _image_cells(keys, values, width: int, what: str) -> bytes:
+_ZERO_RUN = 1 << 14  # cells of the shared ",0.0" run that zero gaps are sliced from
+_NAME_PERIODS = 16  # periods of 1000 column names per header chunk
+_WRITE_BUFFER = 1 << 18  # bytes of the file buffer the row parts are written through
+
+
+def _zero_run(width: int) -> memoryview:
+    """The shared ``b",0.0"`` run of min(width, _ZERO_RUN) cells that
+    `_image_cells` slices the zero gaps of a width-cell row from."""
+    return memoryview(b",0.0" * min(width, _ZERO_RUN))
+
+
+def _image_cells(keys, values, zeros: memoryview, width: int, what: str) -> list:
     """``b",c0,c1,...,c{width-1}"`` for the row that holds `values` at the
-    strictly increasing `keys` and +0.0 elsewhere: runs of ``b",0.0"``
-    between keys, each value as its float's repr. A key out of order or
-    outside 0..width-1 is an InternalCheckError."""
+    strictly increasing `keys` and +0.0 elsewhere, as a list of parts to
+    write in turn: slices of `zeros` (from `_zero_run(width)`) for the runs
+    of +0.0 between keys, and ``b","`` plus its float's repr at each key. A
+    key out of order or outside 0..width-1 is an InternalCheckError, for the
+    first bad key in row order (at one key, the range before the order)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    outside = (keys < 0) | (keys >= width)
+    unordered = np.zeros(keys.size, dtype=bool)
+    unordered[1:] = keys[1:] <= keys[:-1]
+    bad = np.flatnonzero(outside | unordered)
+    if bad.size:
+        i = int(bad[0])
+        if outside[i]:
+            raise InternalCheckError(f"{what}: key {keys[i]} outside 0..{width - 1}")
+        raise InternalCheckError(f"{what}: key {keys[i]} out of order after key {keys[i - 1]}")
+    # each distinct value is formatted once; by its bits, so -0.0 stays apart from +0.0
+    bits, which = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64),
+                            return_inverse=True)
+    formatted = [b"," + repr(v).encode("ascii") for v in bits.view(np.float64).tolist()]
+    cells = [formatted[i] for i in which.tolist()] + [b""]
+    gaps = np.diff(keys, prepend=-1, append=width) - 1  # the +0.0 cells before each cell
+    run = len(zeros) // 4
     parts = []
-    nxt = 0  # the first cell not yet written
-    for k, v in zip(np.asarray(keys).tolist(), np.asarray(values, dtype=np.float64).tolist()):
-        if not 0 <= k < width:
-            raise InternalCheckError(f"{what}: key {k} outside 0..{width - 1}")
-        if k < nxt:
-            raise InternalCheckError(f"{what}: key {k} out of order after key {nxt - 1}")
-        parts.append(b",0.0" * (k - nxt))
-        parts.append(b"," + repr(v).encode("ascii"))
-        nxt = k + 1
-    parts.append(b",0.0" * (width - nxt))
-    return b"".join(parts)
+    for gap, cell in zip(gaps.tolist(), cells):
+        while gap > run:
+            parts.append(zeros)
+            gap -= run
+        if gap:
+            parts.append(zeros[:4 * gap])
+        parts.append(cell)
+    return parts
 
 
-def _float_cells(row) -> bytes:
-    """The cells of a float row joined by commas, each as its float's repr:
-    `_image_cells` of the cells that are not +0.0 (-0.0, nan and +-inf
-    included)."""
+def _float_cells(row, zeros: memoryview) -> list:
+    """The cells of a float row joined by commas, each as its float's repr,
+    as `_image_cells` parts of the cells that are not +0.0 (-0.0, nan and
+    +-inf included) with the leading comma dropped."""
     row = np.asarray(row, dtype=np.float64)
     keep = np.flatnonzero((row != 0) | np.signbit(row))
-    return _image_cells(keep, row[keep], row.size, "dense row")[1:]
+    parts = _image_cells(keep, row[keep], zeros, row.size, "dense row")
+    parts[0] = parts[0][1:]
+    return parts
 
 
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 
 
-def _place_digits(j: int, lo: int, count: int) -> np.ndarray:
-    """ASCII digit in the 10^j place of lo, lo+1, ..., lo+count-1: the ten
-    digits, each repeated 10^j times, tiled with period 10^(j+1) and read
-    from offset lo mod 10^(j+1)."""
-    run = 10 ** j
-    start = lo % (10 * run)
-    first, last = start // run, (start + count - 1) // run  # the runs it touches
-    runs = np.tile(_DIGITS, last // 10 + 1)[first:last + 1]
-    return np.repeat(runs, run)[start - first * run:][:count]
+def _names(numbers: np.ndarray, k: int) -> np.ndarray:
+    """``",v"`` plus the last k decimal digits of each number, in ASCII, as
+    the rows of a (len(numbers), k + 2) uint8 array."""
+    out = np.empty((len(numbers), k + 2), dtype=np.uint8)
+    out[:, 0], out[:, 1] = ord(","), ord("v")
+    out[:, 2:] = _DIGITS[numbers[:, None] // 10 ** np.arange(k - 1, -1, -1) % 10]
+    return out
 
 
-def _column_names(width: int) -> Iterator[np.ndarray]:
-    """``",v0,v1,...,v{width-1}"`` as one (count, k+2) uint8 block of ",v"
-    plus k digits per digit count k."""
+def _column_names(width: int) -> Iterator[bytes]:
+    """``",v0,v1,...,v{width-1}"`` in chunks of at most _NAME_PERIODS periods
+    of 1000 names. The last three digits of a name cycle with period 1000:
+    per digit count k >= 4, one period of names is copied over a reused
+    buffer of _NAME_PERIODS periods, and each chunk sets only its higher
+    digits, which are constant over each period."""
     k, lo = 1, 0
     while lo < width:
         hi = min(10 ** k, width)
-        block = np.empty((hi - lo, k + 2), dtype=np.uint8)
-        block[:, 0], block[:, 1] = ord(","), ord("v")
-        for j in range(k):
-            block[:, k + 1 - j] = _place_digits(j, lo, hi - lo)
-        yield block
+        if k < 4:  # fewer than 1000 names
+            yield _names(np.arange(lo, hi), k).tobytes()
+        else:
+            buf = np.empty((_NAME_PERIODS, 1000, k + 2), dtype=np.uint8)
+            buf[:] = _names(np.arange(1000), k)
+            for start in range(lo, hi, 1000 * _NAME_PERIODS):
+                count = min(1000 * _NAME_PERIODS, hi - start)
+                periods = -(-count // 1000)
+                high = _names(start // 1000 + np.arange(periods), k - 3)
+                for j in range(2, k - 1):  # one column at a time: long strided runs
+                    buf[:periods, :, j] = high[:, j, None]
+                yield buf[:periods].reshape(-1)[:count * (k + 2)].tobytes()
         k, lo = k + 1, hi
 
 
@@ -213,15 +252,15 @@ def write_embedding_csv(path: str, config: dict, ids: Sequence[str],
     per id, written from its sparse image (sorted keys, values) with no
     dense row; a key out of order or outside 0..width-1 is an
     InternalCheckError."""
-    with open(path, "wb") as fh:
+    with open(path, "wb", buffering=_WRITE_BUFFER) as fh:
         fh.write((config_line(config) + "\n").encode("utf-8"))
         fh.write(b"id")
-        for block in _column_names(width):
-            fh.write(block)
+        fh.writelines(_column_names(width))
         fh.write(b"\n")
+        zeros = _zero_run(width)
         for vec_id, (keys, values) in zip(ids, images):
             fh.write(vec_id.encode("utf-8"))
-            fh.write(_image_cells(keys, values, width, f"embedding row {vec_id!r}"))
+            fh.writelines(_image_cells(keys, values, zeros, width, f"embedding row {vec_id!r}"))
             fh.write(b"\n")
 
 
@@ -255,10 +294,12 @@ def read_embedding_csv(path: str) -> tuple[list[str], np.ndarray]:
 def write_dense_map_csv(path: str, matrix: np.ndarray) -> None:
     """Dense map file: an `m,d` header then m rows of d values."""
     m, d = matrix.shape
-    with open(path, "wb") as fh:
+    with open(path, "wb", buffering=_WRITE_BUFFER) as fh:
         fh.write(f"{m},{d}\n".encode("ascii"))
+        zeros = _zero_run(d)
         for row in matrix:
-            fh.write(_float_cells(row) + b"\n")
+            fh.writelines(_float_cells(row, zeros))
+            fh.write(b"\n")
 
 
 def read_dense_map_csv(path: str) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_sketch import io
+from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.embeddings import EmbedParams, plan_params
 from sparse_sketch.errors import InternalCheckError, ParseError
+from sparse_sketch.pairwise import stacked_image
 from sparse_sketch.vectors import Dataset, SparseVector
 
-from helpers import cell_by_cell, embedding_header
+from helpers import cell_by_cell, embedding_csv_text, embedding_header
 
 
 def test_text_round_trip(tmp_path):
@@ -116,7 +119,7 @@ def test_float_cells_equal_the_cell_by_cell_format(n, data):
         cells = st.tuples(st.integers(0, n - 1), st.one_of(_ODD_FLOATS, st.floats()))
         for i, v in data.draw(st.lists(cells, max_size=1 + n // 4)):
             row[i] = v
-    assert io._float_cells(row) == cell_by_cell(row).encode()
+    assert b"".join(io._float_cells(row, io._zero_run(n))) == cell_by_cell(row).encode()
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,16 +132,47 @@ def test_image_cells_equal_the_cell_by_cell_format_of_the_scattered_row(width, d
                                          min_size=len(keys), max_size=len(keys))))
     row = np.zeros(width)
     row[keys] = values
-    got = io._image_cells(keys, values, width, "row")
+    got = b"".join(io._image_cells(keys, values, io._zero_run(width), width, "row"))
     assert got == ("," + cell_by_cell(row)).encode()
+
+
+_CHUNK = 1000 * io._NAME_PERIODS  # names per header chunk, counted from 10^(k-1) for k digits
 
 
 @pytest.mark.parametrize("width", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10**4,
                                    10001, 99_999, 10**5, 100_001, 896_000, 999_999, 10**6,
-                                   1_000_001, 1_234_567])
+                                   1_000_001, 1_234_567]
+                         + [lo + w for lo in (0, 10**4, 10**5)
+                            for w in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)])
 def test_embedding_header_equals_the_f_string_list(width):
     names = b"".join(io._column_names(width)).decode("ascii")
     assert "id" + names == embedding_header(width)
+
+
+def test_embedding_row_with_gaps_around_the_zero_run_length(tmp_path):
+    run = io._ZERO_RUN
+    gaps = [run - 1, run, run + 1, 3 * run + 2]
+    keys = np.cumsum(np.array(gaps) + 1) - 1
+    width = int(keys[-1]) + 2 * run + 3  # a long run after the last key too
+    values = np.array([0.5, -0.0, math.nan, 1e300])
+    row = np.zeros(width)
+    row[keys] = values
+    path = tmp_path / "emb.csv"
+    io.write_embedding_csv(str(path), {"seed": 1}, ["a"], [(keys, values)], width)
+    assert path.read_text() == embedding_csv_text({"seed": 1}, ["a"], [row], width)
+
+
+def test_embedding_writer_memory_does_not_grow_with_the_width(tmp_path):
+    # the embed-allp shape: 3 two-sparse vectors at m = 2000, T = 448
+    m, T = 2000, 448
+    images = [stacked_image(v, m, T, 7) for _, v in random_nonneg_dataset(3, 2, 10**4, seed=5)]
+    tracemalloc.start()
+    try:
+        io.write_embedding_csv(str(tmp_path / "emb.csv"), {}, ["a", "b", "c"], images, m * T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # one 896,000-cell row formatted whole is 3.6 MB
 
 
 @pytest.mark.parametrize("keys, message", [
@@ -146,11 +180,24 @@ def test_embedding_header_equals_the_f_string_list(width):
     ([-1], "key -1 outside 0..2"),
     ([2, 1], "key 1 out of order after key 2"),
     ([1, 1], "key 1 out of order after key 1"),
-], ids=["past-width", "negative", "unsorted", "repeated"])
+    ([2, 1, 5], "key 1 out of order after key 2"),  # the first bad key in row order
+], ids=["past-width", "negative", "unsorted", "repeated", "unsorted-before-past-width"])
 def test_embedding_row_of_the_wrong_width_is_an_internal_error(tmp_path, keys, message):
     path = str(tmp_path / "emb.csv")
     with pytest.raises(InternalCheckError, match=f"embedding row 'a': {message}"):
         io.write_embedding_csv(path, {}, ["a"], [(np.array(keys), np.ones(len(keys)))], 3)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (10**6, "key 1000000 outside 0..999999"),
+    (699_989, "key 699989 out of order after key 699990"),
+], ids=["past-width", "unsorted"])
+def test_one_bad_key_deep_in_a_wide_row_is_an_internal_error(tmp_path, bad, message):
+    keys = np.arange(0, 10**6, 10)
+    keys[70_000] = bad
+    path = str(tmp_path / "emb.csv")
+    with pytest.raises(InternalCheckError, match=f"embedding row 'a': {message}$"):
+        io.write_embedding_csv(path, {}, ["a"], [(keys, np.ones(len(keys)))], 10**6)
 
 
 def test_report_has_config_echo(tmp_path):

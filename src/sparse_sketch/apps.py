@@ -14,6 +14,7 @@ import numpy as np
 from .errors import PatternBudgetError, PreconditionError
 from .hashing import bucket_grid
 from .pairwise import (
+    _entries,
     _max_pool_keys,
     _run_starts,
     lp_dists,
@@ -387,11 +388,7 @@ def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> Distance
     width = reps * m
     require_cells(width, "estimator tables")  # `slots`
     # every stored entry in vector order: its vector, coordinate rank and value
-    vecs = dataset.vectors
-    distinct, col = np.unique(np.array([i for v in vecs for i in v.indices], dtype=np.uint64),
-                              return_inverse=True)
-    vec = np.repeat(np.arange(n), [v.sparsity for v in vecs])
-    val = np.array([x for v in vecs for x in v.values], dtype=np.float64)
+    vec, col, val, distinct = _entries(dataset.vectors)
     # a coordinate lands on one key per repetition, so at most
     # reps * min(m, distinct) keys get a row after the absent row 0
     bound = 1 + reps * min(m, len(distinct))

@@ -55,13 +55,11 @@ one workspace that it allocates up front, so its blocks do not map and
 release fresh pages; that workspace scales with ``_BLOCK`` and the group
 phase with the batch, neither with the copy count.
 
-* ``stacked_linf``: p = inf. A max over copies splits by key. Keys that
-  hold one coordinate give |x_u - x_v| at each coordinate alone in some
-  copy: ``lp_dists`` at p = inf over the vectors restricted to those.
-  The groups give the max of |t_u - t_v| over the groups both vectors hold
-  and of each side's largest |t| at a group the other lacks; that sits at
-  the first of u's |t|-ranks the pair does not share. A max decomposes
-  over batches, so the batching is exact.
+* ``stacked_linf``: p = inf, the max of |t_u - t_v| over the groups both
+  vectors hold and of each side's largest |t| at a group the other lacks
+  (the first of u's |t|-ranks the pair does not share). Each coordinate
+  alone in some copy is one group more, of its owners' values. A max
+  decomposes over groups, so the batching is exact.
 * ``stacked_power_sums``: finite p. A copy without collisions contributes
   exactly the true distance, so the T-fold sum is T * D plus corrections
   at the groups, summed with segmented reductions and ``np.bincount``
@@ -179,20 +177,28 @@ def _self_dists(vectors: Sequence[SparseVector], ps: Sequence[float]) -> list[np
 
 
 def _padded(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray]:
-    """(len(vectors), max(1, max sparsity)) arrays of the vectors' ranks into
-    their distinct indices, padded with a rank above every one, and of their
-    values, padded with 0.0; DimensionMismatch unless the vectors share one
-    ambient dimension."""
+    """``_entries`` as (len(vectors), max(1, max sparsity)) rows of ranks,
+    padded with a rank above every one, and of values, padded with 0.0."""
+    vec, rank, val, distinct = _entries(vectors)
+    lens = np.bincount(vec, minlength=len(vectors))
+    rows = np.full((len(vectors), int(lens.max(initial=1))), len(distinct), dtype=np.int64)
+    real = np.arange(rows.shape[1]) < lens[:, None]
+    rows[real] = rank
+    vals = np.zeros(rows.shape)
+    vals[real] = val
+    return rows, vals
+
+
+def _entries(vectors: Sequence[SparseVector]):
+    """Every stored entry in vector order (its vector, its index's rank among
+    the distinct indices, its value) and the distinct indices;
+    DimensionMismatch unless the vectors share one ambient dimension."""
     if len({v.dim for v in vectors}) > 1:
         raise DimensionMismatch("ambient dimensions differ")
-    idx = np.array([i for v in vectors for i in v.indices], dtype=np.uint64)
-    lens = np.array([v.sparsity for v in vectors], dtype=np.int64)
-    rows = np.full((len(vectors), int(lens.max(initial=1))), len(idx), dtype=np.int64)
-    real = np.arange(rows.shape[1]) < lens[:, None]
-    rows[real] = np.unique(idx, return_inverse=True)[1]
-    val = np.zeros(rows.shape)
-    val[real] = [x for v in vectors for x in v.values]
-    return rows, val
+    distinct, rank = np.unique(np.array([i for v in vectors for i in v.indices], dtype=np.uint64),
+                               return_inverse=True)
+    vec = np.repeat(np.arange(len(vectors)), [v.sparsity for v in vectors])
+    return vec, rank, np.array([x for v in vectors for x in v.values], dtype=np.float64), distinct
 
 
 def _merged(rows: np.ndarray, vals: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -249,21 +255,12 @@ def _require_finite(powers: dict) -> dict:
 
 
 def _ownership(vectors: Sequence[SparseVector]):
-    """Distinct coordinate indices plus, per index, its (vector, value) owners."""
-    vec_ids, idxs, vals = [], [], []
-    for vid, v in enumerate(vectors):
-        vec_ids.extend([vid] * v.sparsity)
-        idxs.extend(v.indices)
-        vals.extend(v.values)
-    idx_arr = np.asarray(idxs, dtype=np.uint64)
-    distinct, inverse = np.unique(idx_arr, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    owner_vec = np.asarray(vec_ids, dtype=np.int64)[order]
-    owner_val = np.asarray(vals, dtype=np.float64)[order]
-    sorted_inv = inverse[order]
-    starts = _run_starts(sorted_inv)
-    counts = np.diff(np.r_[starts, len(sorted_inv)])
-    return distinct, owner_vec, owner_val, starts.astype(np.int64), counts.astype(np.int64)
+    """``_entries``' distinct indices, then its entries' vectors and values
+    sorted stably by index, and each index's first position and count there."""
+    vec, rank, val, distinct = _entries(vectors)
+    order = np.argsort(rank, kind="stable")
+    counts = np.bincount(rank, minlength=len(distinct))
+    return distinct, vec[order], val[order], np.cumsum(counts) - counts, counts
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -533,7 +530,8 @@ def _add_blocks(total: np.ndarray, part: np.ndarray) -> None:
 
 def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int) -> np.ndarray:
     """(n, n) matrix of max_c ||f_c(x_i) - f_c(x_j)||_inf for all pairs: the
-    largest |a_u - a_v| over the keys of two stacked images (absent = 0)."""
+    largest |a_u - a_v| over the keys of two stacked images (absent = 0), by
+    ``_group_max`` over each batch of the walk and then the kept coordinates."""
     n = len(vectors)
     require_cells(n * n, "pair matrix")
     distinct, owner_vec, owner_val, _, ocounts = owners = _ownership(vectors)
@@ -542,41 +540,44 @@ def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int
     out = np.zeros((n, n))  # out[u, v]: the pair's max over groups so far, seen from u
     for batch in _collision_blocks(owners, n, m, copies, seed):
         hits += np.bincount(batch.coord, minlength=len(distinct))
-        vec, top, a, b = batch.vec, batch.top, batch.i, batch.j
-        # each vector's tops ranked by |t|, largest first; slot len(top) reads 0
-        order = np.lexsort((-np.abs(top), vec))
-        ranked = np.append(np.abs(top[order]), 0.0)
-        sizes = np.bincount(vec, minlength=n)
-        first = np.cumsum(sizes) - sizes
-        rank = np.argsort(order) - first[vec]
-        # (a, b): the owner pairs of each shared group, the lower vector first
-        np.maximum.at(out, (vec[a], vec[b]), np.abs(top[a] - top[b]))
-        # u's largest |t| at a group v lacks sits at the first rank that u does
-        # not share with v: the length of the run 0, 1, 2, ... of shared ranks
-        scale = int(sizes.max(initial=1))
-        key = np.concatenate([(vec[a] * n + vec[b]) * scale + rank[a],
-                              (vec[b] * n + vec[a]) * scale + rank[b]])
-        key.sort()
-        starts = _run_starts(key // scale)
-        pu, pv = np.divmod(key[starts] // scale, n)
-        key %= scale
-        key -= np.arange(len(key))  # rank - position: -start along a leading run
-        lead = key == np.repeat(-starts, np.diff(starts, append=len(key)))
-        run = np.add.reduceat(lead, starts, dtype=np.int64)
-        # a pair that shares no group reads u's largest |t|; the others are restored
-        seen = out[pu, pv]
-        np.maximum(out, ranked[np.where(sizes > 0, first, len(top))][:, None], out=out)
-        out[pu, pv] = np.maximum(seen, ranked[np.where(run < sizes[pu], first[pu] + run, len(top))])
-    # a coordinate alone in its bucket in some copy is held exactly there by every
-    # image; each vector's such entries, in index order
-    keep = np.repeat(hits < copies, ocounts)
-    owner = owner_vec[keep]
-    order = np.argsort(owner, kind="stable")
-    idx = np.repeat(distinct, ocounts)[keep][order].tolist()
-    val = owner_val[keep][order].tolist()
-    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
-    kept = [SparseVector(tuple(idx[lo:hi]), tuple(val[lo:hi]), v.dim)
-            for v, lo, hi in zip(vectors, [0, *ends], ends)]
-    out = np.maximum(np.maximum(out, out.T), lp_dists(kept, kept, INF))
+        _group_max(out, batch.vec, batch.top, batch.i, batch.j)
+    # a coordinate alone in some copy is held exactly there by every image: a
+    # group whose members are its owners and whose tops are their values
+    alone = hits < copies
+    keep = np.repeat(alone, ocounts)
+    _group_max(out, owner_vec[keep], owner_val[keep],
+               *_group_pairs(np.repeat(np.flatnonzero(alone), ocounts[alone])))
+    out = np.maximum(out, out.T)
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _group_max(out: np.ndarray, vec, top, a, b) -> None:
+    """Raises out[u, v] to the max of |t_u - t_v| over one batch's groups that
+    u and v both hold and of u's |t| at those v lacks, from per-(group,
+    vector) vectors and tops (by vector within a group) and owner pairs (a, b)."""
+    n = len(out)
+    # each vector's tops ranked by |t|, largest first; slot len(top) reads 0
+    order = np.lexsort((-np.abs(top), vec))
+    ranked = np.append(np.abs(top[order]), 0.0)
+    sizes = np.bincount(vec, minlength=n)
+    first = np.cumsum(sizes) - sizes
+    rank = np.argsort(order) - first[vec]
+    # (a, b): the owner pairs of each shared group, the lower vector first
+    np.maximum.at(out, (vec[a], vec[b]), np.abs(top[a] - top[b]))
+    # u's largest |t| at a group v lacks sits at the first rank that u does
+    # not share with v: the length of the run 0, 1, 2, ... of shared ranks
+    scale = int(sizes.max(initial=1))
+    key = np.concatenate([(vec[a] * n + vec[b]) * scale + rank[a],
+                          (vec[b] * n + vec[a]) * scale + rank[b]])
+    key.sort()
+    starts = _run_starts(key // scale)
+    pu, pv = np.divmod(key[starts] // scale, n)
+    key %= scale
+    key -= np.arange(len(key))  # rank - position: -start along a leading run
+    lead = key == np.repeat(-starts, np.diff(starts, append=len(key)))
+    run = np.add.reduceat(lead, starts, dtype=np.int64)
+    # a pair that shares no group reads u's largest |t|; the others are restored
+    seen = out[pu, pv]
+    np.maximum(out, ranked[np.where(sizes > 0, first, len(top))][:, None], out=out)
+    out[pu, pv] = np.maximum(seen, ranked[np.where(run < sizes[pu], first[pu] + run, len(top))])

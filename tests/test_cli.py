@@ -647,17 +647,20 @@ def test_distort_report_is_streamed(tmp_path, capsys):
     # at once (a 23 MB peak); streamed, the n x n matrices are most of it
     data = write_data(tmp_path, n=400, s=3, d=1000)[0]
     out = tmp_path / "o.csv"
-    tracemalloc.start()
-    try:
-        rc, err = _run(["distort", "--p", "2", "--input", data, "--output", str(out)], capsys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 0 and err == ""
-    lines = read_lines(out).splitlines()
-    assert len(lines) == 2 + 400 * 399 // 2 + 2
-    assert lines[-2].startswith("summary-max,2.0,,,") and lines[-1].startswith("summary-mean,2.0,,,")
-    assert peak < 100 * 400 ** 2  # bytes: 100 per matrix cell
+    for p, per_cell in (("2", 100), ("inf", 60)):  # bytes per matrix cell
+        tracemalloc.start()
+        try:
+            rc, err = _run(["distort", "--p", p, "--input", data, "--output", str(out)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and err == ""
+        lines = read_lines(out).splitlines()
+        assert len(lines) == 2 + 400 * 399 // 2 + 2
+        label = f"{float(p)},,,"
+        assert lines[-2].startswith("summary-max," + label)
+        assert lines[-1].startswith("summary-mean," + label)
+        assert peak < per_cell * 400 ** 2
 
 
 @pytest.mark.parametrize("argv", [

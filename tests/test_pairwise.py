@@ -112,6 +112,9 @@ def test_stacked_linf_equals_the_per_copy_max(signed):
         vecs = [random_sparse(rng, 12, int(rng.integers(0, 5)), signed=signed) for _ in range(6)]
         vecs += [SparseVector.zero(12), vecs[1], vecs[2]]  # a zero vector, duplicates
         cases.append((vecs, m, 2 * _BLOCK + 37, 40 + m))
+    # no two of the last vectors' coordinates share one of 2^40 buckets, so no
+    # copy holds a group and the kept coordinates alone give the answer
+    cases.append((vecs, 1 << 40, 3, 44))
     mixed = 0  # datasets with a coordinate alone in some copy and one never alone
     for vecs, m, T, seed in cases:
         got = stacked_linf(vecs, m, T, seed)
@@ -119,6 +122,8 @@ def test_stacked_linf_equals_the_per_copy_max(signed):
             for j in range(len(vecs)):
                 expect = 0.0 if i == j else naive_stack_linf(vecs[i], vecs[j], m, T, seed)
                 assert got[i, j] == expect
+        if m == 1 << 40:  # a collision-free hash keeps every max-norm distance
+            assert (got == lp_dists(vecs, vecs, INF)).all()
         coords = {j for v in vecs for j in v.indices}
         alone = set()
         for c in range(T):
@@ -238,6 +243,10 @@ def test_lp_dists_rejects_mixed_dimensions():
         lp_dists(v, v, 2)
     with pytest.raises(DimensionMismatch):
         pairwise_power_dists(v, [2])
+    with pytest.raises(DimensionMismatch):  # before hashing, even with a supplied base
+        stacked_power_sums(v, 4, 3, 0, [2], base={2.0: np.array([[0.0, 1.0], [1.0, 0.0]])})
+    with pytest.raises(DimensionMismatch):
+        stacked_linf(v, 4, 3, 0)
 
 
 def test_pairwise_power_dists_match_lp_dist():

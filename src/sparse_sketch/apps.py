@@ -232,26 +232,26 @@ class Clustering:
         return out
 
 
-def _cluster_cost_around(center_dists: np.ndarray, objective: str) -> float:
+def _cluster_cost_around(center_dists: np.ndarray, objective: str) -> np.ndarray:
+    """The cost of a cluster around a center from the members' distances to
+    it, reduced along the last axis: a matrix gives one cost per row."""
     if objective == "median":
-        return float(center_dists.sum())
+        return center_dists.sum(axis=-1)
     if objective == "means":
-        return float((center_dists ** 2).sum())
-    return float(center_dists.max(initial=0.0))
+        return (center_dists ** 2).sum(axis=-1)
+    return center_dists.max(axis=-1, initial=0.0)
+
+
+def _total_cost(per_cluster: list, objective: str) -> float:
+    """The largest cluster cost for ``center``, else the float sum of them."""
+    return float(max(per_cluster)) if objective == "center" else float(sum(per_cluster))
 
 
 def clustering_cost_from_pair_dists(dists: np.ndarray, clustering: Clustering) -> float:
     """Basic-mode cost (centers restricted to members) from a distance matrix."""
-    per_cluster = []
-    for members in clustering.clusters():
-        sub = dists[np.ix_(members, members)]
-        best = math.inf
-        for row in range(len(members)):
-            best = min(best, _cluster_cost_around(sub[row], clustering.objective))
-        per_cluster.append(best)
-    if clustering.objective == "center":
-        return max(per_cluster)
-    return float(sum(per_cluster))
+    return _total_cost([_cluster_cost_around(dists[np.ix_(members, members)],
+                                             clustering.objective).min()
+                        for members in clustering.clusters()], clustering.objective)
 
 
 def continuous_center(members: Sequence[SparseVector], objective: str, p) -> SparseVector:
@@ -300,9 +300,7 @@ def clustering_cost(dataset: Dataset, clustering: Clustering, centers: str = "ba
         u = continuous_center(group, clustering.objective, clustering.p)
         per_cluster.append(_cluster_cost_around(lp_dists(group, [u], clustering.p)[:, 0],
                                                 clustering.objective))
-    if clustering.objective == "center":
-        return max(per_cluster)
-    return float(sum(per_cluster))
+    return _total_cost(per_cluster, clustering.objective)
 
 
 # ---------------------------------------------------------------------------

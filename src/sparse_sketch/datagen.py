@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .hashing import derive_seed
 from .vectors import Dataset, SparseVector
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(seed, 0xDA7A))
+def _dataset(n: int, d: int, seed: int, prefix: str,
+             draw: Callable[[np.random.Generator], SparseVector]) -> Dataset:
+    """n vectors drawn in turn from one seeded stream, with zero-padded ids."""
+    rng = np.random.default_rng(derive_seed(seed, 0xDA7A))
+    width = len(str(max(0, n - 1)))
+    return Dataset.from_items([(f"{prefix}{i:0{width}d}", draw(rng)) for i in range(n)], d)
 
 
 def random_nonneg_vector(s: int, d: int, rng: np.random.Generator) -> SparseVector:
@@ -20,10 +26,7 @@ def random_nonneg_vector(s: int, d: int, rng: np.random.Generator) -> SparseVect
 
 
 def random_nonneg_dataset(n: int, s: int, d: int, seed: int, prefix: str = "v") -> Dataset:
-    rng = _rng(seed)
-    width = len(str(max(0, n - 1)))
-    items = [(f"{prefix}{i:0{width}d}", random_nonneg_vector(s, d, rng)) for i in range(n)]
-    return Dataset.from_items(items, d)
+    return _dataset(n, d, seed, prefix, lambda rng: random_nonneg_vector(s, d, rng))
 
 
 def random_discrete_vector(s: int, d: int, delta: int, rng: np.random.Generator) -> SparseVector:
@@ -37,8 +40,4 @@ def random_discrete_vector(s: int, d: int, delta: int, rng: np.random.Generator)
 
 def random_discrete_dataset(n: int, s: int, d: int, delta: int, seed: int,
                             prefix: str = "v") -> Dataset:
-    rng = _rng(seed)
-    width = len(str(max(0, n - 1)))
-    items = [(f"{prefix}{i:0{width}d}", random_discrete_vector(s, d, delta, rng))
-             for i in range(n)]
-    return Dataset.from_items(items, d)
+    return _dataset(n, d, seed, prefix, lambda rng: random_discrete_vector(s, d, delta, rng))

@@ -140,6 +140,23 @@ def config_line(config: dict) -> str:
     return "# config: " + json.dumps(config, sort_keys=True, separators=(", ", ": "))
 
 
+def _records(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is neither blank nor
+    a `#` comment, numbered from `start`."""
+    for lineno, raw in enumerate(lines, start):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
+def _floats(cells: Iterable[str], lineno: int) -> list[float]:
+    """The cells of one record as floats; ParseError with its line number."""
+    try:
+        return [float(c) for c in cells]
+    except ValueError as e:
+        raise ParseError(str(e), lineno)
+
+
 _INDEX_LIMIT = 1 << 64  # the bucket hash keys coordinates as uint64
 
 
@@ -161,6 +178,9 @@ def _dataset(records: list, dim: int | None) -> Dataset:
         dim = 1 + max((i for _, _, pairs in records for i, _ in pairs), default=0)
     vectors = []
     for lineno, vec_id, pairs in records:
+        if any(c in vec_id for c in ",\r\n") or vec_id.startswith("#"):
+            raise ParseError(f"vector id {vec_id!r}: a comma, a line break or a leading '#' "
+                             "would break the CSV outputs", lineno)
         try:
             vectors.append((vec_id, SparseVector.from_pairs(pairs, dim)))
         except ValueError as e:
@@ -198,10 +218,7 @@ def parse_dataset_text(lines: Iterable[str], dim: int | None = None) -> Dataset:
 
 def parse_dataset_jsonl(lines: Iterable[str], dim: int | None = None) -> Dataset:
     records = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in _records(lines):
         try:
             obj = json.loads(stripped)
         except ValueError as e:
@@ -265,29 +282,24 @@ def write_embedding_csv(path: str, config: dict, ids: Sequence[str],
 
 
 def read_embedding_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Ids and rows of an embedding CSV; a row whose cell count differs
-    from the first line's (the header, if there is one) is a ParseError."""
+    """Ids and rows of an embedding CSV. The first line is the header if its
+    first cell is `id`; a row whose cell count differs from the first
+    line's is a ParseError."""
     ids: list[str] = []
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            cells = stripped.split(",")
+        for lineno, line in _records(fh):
+            cells = line.split(",")
             if width is None:
                 width = len(cells) - 1
-            if cells[0] == "id":
-                continue
+                if cells[0] == "id":
+                    continue
             if len(cells) - 1 != width:
                 raise ParseError(f"row {cells[0]!r} has {len(cells) - 1} values, "
                                  f"expected {width}", lineno)
             ids.append(cells[0])
-            try:
-                rows.append([float(c) for c in cells[1:]])
-            except ValueError as e:
-                raise ParseError(str(e), lineno)
+            rows.append(_floats(cells[1:], lineno))
     return ids, np.asarray(rows, dtype=np.float64)
 
 
@@ -311,14 +323,8 @@ def read_dense_map_csv(path: str) -> np.ndarray:
         except ValueError:
             raise ParseError(f"bad dense-map header {header!r}", 1)
         rows = []
-        for lineno, line in enumerate(fh, start=2):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                row = [float(c) for c in stripped.split(",")]
-            except ValueError as e:
-                raise ParseError(str(e), lineno)
+        for lineno, line in _records(fh, start=2):
+            row = _floats(line.split(","), lineno)
             if len(row) != d:
                 raise ParseError(f"expected {d} values, got {len(row)}", lineno)
             rows.append(row)

@@ -212,7 +212,8 @@ def _merged(rows: np.ndarray, vals: np.ndarray, i: np.ndarray, j: np.ndarray) ->
     val = np.take_along_axis(np.hstack([vals[i], vals[j]]), order, 1)
     d = np.abs(val)
     shared = key[:, 1:] == key[:, :-1]  # x's entry, then y's
-    d[:, :-1][shared] = np.abs(val[:, :-1] - val[:, 1:])[shared]
+    with np.errstate(over="ignore"):  # an inf fails _norms' check
+        d[:, :-1][shared] = np.abs(val[:, :-1] - val[:, 1:])[shared]
     d[:, 1:][shared] = 0.0
     return d
 
@@ -220,19 +221,22 @@ def _merged(rows: np.ndarray, vals: np.ndarray, i: np.ndarray, j: np.ndarray) ->
 def _norms(d: np.ndarray, ps: Sequence[float]) -> list[np.ndarray]:
     """The norm step: each row's top * (sum (d / top)^p)^(1/p), added slot by
     slot, or its max at p = inf, for every p of ps. Divides `d` in place
-    unless every p is inf."""
+    unless every p is inf. PreconditionError when a norm leaves float range
+    (inf, or the nan of inf / inf)."""
     top = d.max(axis=1)
-    if all(p == INF for p in ps):
-        return [top for _ in ps]
     out = []
-    with np.errstate(invalid="ignore"):  # 0/0 on rows that np.where zeroes
-        d /= top[:, None]
+    # 0/0 on rows that np.where zeroes; an overflow fails the check below
+    with np.errstate(invalid="ignore", over="ignore"):
+        if any(p != INF for p in ps):
+            d /= top[:, None]
         for p in ps:
             if p == INF:
                 out.append(top)
                 continue
             acc = np.add.accumulate(np.float_power(d, p), axis=1)[:, -1]
             out.append(np.where(top > 0.0, top * np.float_power(acc, 1.0 / p), 0.0))
+    if not np.isfinite(out).all():
+        raise PreconditionError("distances overflow a float")
     return out
 
 

@@ -144,51 +144,29 @@ def lp_norm(x: SparseVector, p) -> float:
     return _reduce_abs((abs(v) for v in x.values), p)
 
 
-def lp_dist(x: SparseVector, y: SparseVector, p) -> float:
-    """lp norm of x - y, accumulated directly over the merged support."""
-    p = _check_p(p)
+def _union(x: SparseVector, y: SparseVector) -> Iterator[tuple[int, float, float]]:
+    """(index, x value, y value) over the union of the two supports in index
+    order, 0.0 on the side that does not store the index."""
     if x.dim != y.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {x.dim} vs {y.dim}")
-    diffs = []
-    i = j = 0
-    xi, xv, yi, yv = x.indices, x.values, y.indices, y.values
-    while i < len(xi) and j < len(yi):
-        if xi[i] == yi[j]:
-            diffs.append(abs(xv[i] - yv[j]))
-            i += 1
-            j += 1
-        elif xi[i] < yi[j]:
-            diffs.append(abs(xv[i]))
-            i += 1
-        else:
-            diffs.append(abs(yv[j]))
-            j += 1
-    diffs.extend(abs(v) for v in xv[i:])
-    diffs.extend(abs(v) for v in yv[j:])
-    return _reduce_abs(diffs, p)
+    xs, ys = x.to_dict(), y.to_dict()
+    for i in sorted(xs.keys() | ys.keys()):
+        yield i, xs.get(i, 0.0), ys.get(i, 0.0)
+
+
+def lp_dist(x: SparseVector, y: SparseVector, p) -> float:
+    """lp norm of x - y, accumulated directly over the merged support;
+    PreconditionError when it leaves float range."""
+    p = _check_p(p)
+    dist = _reduce_abs((abs(a - b) for _, a, b in _union(x, y)), p)
+    if not math.isfinite(dist):
+        raise PreconditionError("distances overflow a float")
+    return dist
 
 
 def _merge(x: SparseVector, y: SparseVector, sign: float) -> SparseVector:
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"ambient dimensions differ: {x.dim} vs {y.dim}")
-    out: list[tuple[int, float]] = []
-    i = j = 0
-    while i < len(x.indices) and j < len(y.indices):
-        if x.indices[i] == y.indices[j]:
-            v = x.values[i] + sign * y.values[j]
-            if v != 0.0:
-                out.append((x.indices[i], v))
-            i += 1
-            j += 1
-        elif x.indices[i] < y.indices[j]:
-            out.append((x.indices[i], x.values[i]))
-            i += 1
-        else:
-            out.append((y.indices[j], sign * y.values[j]))
-            j += 1
-    out.extend(zip(x.indices[i:], x.values[i:]))
-    out.extend((k, sign * v) for k, v in zip(y.indices[j:], y.values[j:]))
-    return SparseVector(tuple(k for k, _ in out), tuple(v for _, v in out), x.dim)
+    out = [(i, v) for i, a, b in _union(x, y) if (v := a + sign * b) != 0.0]
+    return SparseVector(tuple(i for i, _ in out), tuple(v for _, v in out), x.dim)
 
 
 def sum_vectors(x: SparseVector, y: SparseVector) -> SparseVector:

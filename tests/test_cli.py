@@ -480,8 +480,11 @@ _OK_TSV, _OK_JSONL = b"ok\t0:1.0\n", b'{"id": "ok", "coords": {"0": 1.0}}\n'
     ("in.jsonl", _OK_JSONL + b'{"id": "a", "coords": {"18446744073709551616": 1}}', "line 2"),
     ("in.tsv", _OK_TSV + b"a\t18446744073709551616:1.0", "line 2"),
     ("in.tsv", _OK_TSV + b"\xe9\t0:1.0", ""),  # not UTF-8
+    # ids that would break a CSV row of the output
+    ("in.tsv", _OK_TSV + b"a,b\t0:1.0", "line 2"),
+    ("in.jsonl", _OK_JSONL + b'{"id": "x\\ny", "coords": {"0": 1}}', "line 2"),
 ], ids=["coords-list", "value-text", "value-nan", "record-int", "jsonl-index-2^64",
-        "tsv-index-2^64", "not-utf8"])
+        "tsv-index-2^64", "not-utf8", "tsv-id-comma", "jsonl-id-newline"])
 def test_bad_dataset_line_is_an_input_error(tmp_path, capsys, name, body, where):
     path = tmp_path / name
     path.write_bytes(body + b"\n")
@@ -614,16 +617,23 @@ def test_planner_overflows_are_precondition_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err and not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["distort", "--p", "2000", "--m", "5", "--T", "3"],
-    ["apps", "maxcut", "--p", "2000", "--eps", "0.5"],
-    ["apps", "cluster-cost", "--p", "2000", "--clusters", "0,1,0", "--m", "5", "--T", "3"],
-], ids=["distort", "maxcut", "cluster-cost"])
-def test_overflowing_powers_are_precondition_errors(tmp_path, argv):
+_BIG_POWERS = "a\t0:3 1:5\nb\t2:1\nc\t1:2.5 4:7\n"  # 7^2000 is beyond float range
+_BIG_DISTANCE = "# d: 10\na\t0:1e308\nb\t0:-1e308 3:1.0\n"  # and so is |1e308 - -1e308|
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["distort", "--p", "2000", "--m", "5", "--T", "3"], _BIG_POWERS),
+    (["apps", "maxcut", "--p", "2000", "--eps", "0.5"], _BIG_POWERS),
+    (["apps", "cluster-cost", "--p", "2000", "--clusters", "0,1,0", "--m", "5", "--T", "3"],
+     _BIG_POWERS),
+    (["apps", "diameter", "--p", "2"], _BIG_DISTANCE),
+    (["distort", "--p", "inf"], _BIG_DISTANCE),
+], ids=["distort", "maxcut", "cluster-cost", "diameter-distance", "distort-distance"])
+def test_overflowing_powers_are_precondition_errors(tmp_path, argv, data):
     # each used to exit 0 with nan, a true max-cut of 0.0 or an inf sketch, and
-    # then to print numpy's overflow warnings before the error message
+    # to print numpy's overflow warnings, before or in place of the error message
     path = tmp_path / "big.tsv"
-    path.write_text("a\t0:3 1:5\nb\t2:1\nc\t1:2.5 4:7\n")
+    path.write_text(data)
     out = tmp_path / "o.csv"
     src = str(Path(sparse_sketch.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-W", "default", "-m", "sparse_sketch.cli", *argv,

@@ -91,10 +91,28 @@ def test_embedding_csv_round_trip(tmp_path):
     path = str(tmp_path / "emb.csv")
     images = [(np.array([0, 2]), np.array([1.0, 2.5])),
               (np.array([0, 1, 2]), np.array([0.125, -1.0, 3.0]))]
-    io.write_embedding_csv(path, {"seed": 1}, ["a", "b"], iter(images), 3)
+    # only the first line can be the header: a row whose id is "id" is data
+    io.write_embedding_csv(path, {"seed": 1}, ["a", "id"], iter(images), 3)
     ids, arr = io.read_embedding_csv(path)
-    assert ids == ["a", "b"]
+    assert ids == ["a", "id"]
     assert np.array_equal(arr, np.array([[1.0, 0.0, 2.5], [0.125, -1.0, 3.0]]))
+
+
+_FIRST = {io.parse_dataset_text: "ok\t0:1", io.parse_dataset_jsonl: '{"id": "ok", "coords": {}}'}
+
+
+@pytest.mark.parametrize("parse, body", [
+    (io.parse_dataset_text, "a,b\t0:1"),
+    (io.parse_dataset_jsonl, '{"id": "a,b", "coords": {"0": 1}}'),
+    (io.parse_dataset_jsonl, '{"id": "x\\ny", "coords": {"0": 1}}'),
+    (io.parse_dataset_jsonl, '{"id": "x\\ry", "coords": {}}'),
+    (io.parse_dataset_jsonl, '{"id": "#x", "coords": {}}'),
+    (io.parse_dataset_jsonl, '{"id": [1, 2], "coords": {}}'),  # str() of it holds a comma
+], ids=["text-comma", "jsonl-comma", "jsonl-newline", "jsonl-return", "jsonl-hash",
+        "jsonl-list"])
+def test_an_id_that_breaks_a_csv_row_is_a_parse_error(parse, body):
+    with pytest.raises(ParseError, match="line 2: vector id .* would break the CSV outputs"):
+        parse([_FIRST[parse], body])
 
 
 def test_ragged_embedding_csv_is_a_parse_error(tmp_path):

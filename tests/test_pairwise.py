@@ -158,6 +158,28 @@ def test_overflowing_powers_are_precondition_errors():
     assert np.isfinite(pairwise_power_dists([a, b, c], [300.0])[300.0]).all()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1, 2, INF])
+def test_distances_beyond_float_range_are_precondition_errors(p):
+    # |1e308 - -1e308| is inf; the scaled sum used to turn it into nan (inf at p = inf)
+    a = SparseVector.from_pairs({0: 1e308}, 10)
+    b = SparseVector.from_pairs({0: -1e308, 3: 1.0}, 10)
+    pair = [a, b]
+    with pytest.raises(PreconditionError, match="distances overflow a float"):
+        lp_dist(a, b, p)
+    with pytest.raises(PreconditionError, match="distances overflow a float"):
+        lp_dists(pair, pair, p)  # the triangle walk
+    with pytest.raises(PreconditionError, match="distances overflow a float"):
+        lp_dists([a], [b], p)  # the walk over ordered pairs
+    # neighbouring slots of different indices whose difference overflows stay
+    # quiet where the distance is finite (at p = 1 it is 2e308)
+    c = SparseVector.from_pairs({1: -1e308}, 10)
+    pair = [a, c]
+    if p != 1:
+        assert np.isfinite(lp_dist(a, c, p))
+        assert lp_dists(pair, pair, p)[0, 1] == lp_dists([a], [c], p)[0, 0] == lp_dist(a, c, p)
+
+
 @pytest.mark.parametrize("signed", [False, True])
 def test_stacked_image_is_the_per_copy_images(signed):
     rng = np.random.default_rng(77 if signed else 88)

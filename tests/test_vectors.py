@@ -124,9 +124,30 @@ sparse_dicts = st.dictionaries(st.integers(min_value=0, max_value=49), finite_va
 @settings(max_examples=200, deadline=None)
 def test_dist_equals_norm_of_diff(xd, yd, p):
     x, y = sv(xd, d=50), sv(yd, d=50)
-    a = lp_dist(x, y, p)
-    b = lp_norm(diff_vectors(x, y), p)
-    assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
+    # the same |x_i - y_i| in the same order; a cancelled entry adds exactly 0
+    assert lp_dist(x, y, p) == lp_norm(diff_vectors(x, y), p)
+
+
+@st.composite
+def overlapping_dicts(draw):
+    """Two sparse dicts where some of y's entries repeat or negate x's, so
+    that sums and differences cancel."""
+    xd, yd = draw(sparse_dicts), draw(sparse_dicts)
+    for i in draw(st.sets(st.sampled_from(sorted(xd)))) if xd else ():
+        yd[i] = draw(st.sampled_from([xd[i], -xd[i]]))
+    return xd, yd
+
+
+@given(overlapping_dicts())
+@settings(max_examples=200, deadline=None)
+def test_sum_and_diff_equal_the_dense_algebra(pair):
+    x, y = (sv(d, d=50) for d in pair)
+    for got, want in [(sum_vectors(x, y), dense(x) + dense(y)),
+                      (diff_vectors(x, y), dense(x) - dense(y))]:
+        kept = np.flatnonzero(want)  # exact zeros dropped
+        assert got.dim == 50
+        assert got.indices == tuple(kept.tolist())
+        assert got.values == tuple(want[kept].tolist())
 
 
 @given(sparse_dicts, sparse_dicts, st.sampled_from([1, 2, INF]))

@@ -436,17 +436,14 @@ def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> Distance
 
 def distance_sums(dataset: Dataset, ys: Sequence[SparseVector], p) -> list[float]:
     """Brute-force sum_x ||x - y||_p^p for each y of ys, from one
-    ``lp_dists`` matrix: a Python sum of d ** p down each column, inf where
-    a p-th power leaves float range. ``lp_dists`` checks the len(dataset) x
-    len(ys) matrix against CELL_BUDGET before allocating it."""
+    ``lp_dists`` matrix: its ``np.float_power`` p-th powers added in order
+    down each column (the bits of Python's ``sum``), inf where they leave
+    float range. ``lp_dists`` checks the len(dataset) x len(ys) matrix
+    against CELL_BUDGET before allocating it."""
     p = _check_p(p)
-    out = []
-    for column in lp_dists(dataset.vectors, ys, p).T.tolist():
-        try:
-            out.append(float(sum(d ** p for d in column)))
-        except OverflowError:
-            out.append(math.inf)
-    return out
+    with np.errstate(over="ignore"):  # an overflowed power or sum reads inf
+        powers = np.float_power(lp_dists(dataset.vectors, ys, p), p)
+        return np.add.accumulate(powers, axis=0)[-1].tolist() if len(powers) else [0.0] * len(ys)
 
 
 def direct_distance_sum(dataset: Dataset, y: SparseVector, p) -> float:

@@ -50,7 +50,7 @@ from .probes import (
     preservation_trials,
     unif_draws,
 )
-from .vectors import INF, _dense_norm, lp_norm, require_cells
+from .vectors import INF, _norms, lp_norm, require_cells
 
 _SLACK = 1e-9
 
@@ -124,7 +124,7 @@ def _distort_pairs(args, dataset, params, seed):
     vecs, ids = dataset.vectors, dataset.ids
     true_d = lp_dists(vecs, vecs, p)
     with np.errstate(over="ignore"):  # the engine's finiteness check reports it
-        base = None if p == INF else {float(p): true_d ** p}
+        base = None if p == INF else {float(p): np.float_power(true_d, p)}
     emb_d = _embedded_dists(vecs, params, seed, p, base=base)
     n = len(vecs)
     upper = np.triu(true_d > 0, 1)  # the pairs that have a ratio, read in (i, j) order
@@ -152,11 +152,11 @@ def _distort_norms(args, dataset, params, seed):
     rows = []
     for vec_id, vec in dataset:
         true = lp_norm(vec, p)
-        approx_max = _dense_norm(stacked_image(vec, params.m, params.T, seed)[1], p, params.T)
+        approx_max = _norms(stacked_image(vec, params.m, params.T, seed)[1], [p], params.T)[0]
         # the sum-hash map is one copy at the full width; its row's non-zero sums
         landed, inv = np.unique(bucket_grid(seed, 1, vec.indices, width)[0],
                                 return_inverse=True)
-        approx_sum = _dense_norm(np.bincount(inv, weights=vec.values, minlength=len(landed)), p)
+        approx_sum = _norms(np.bincount(inv, weights=vec.values, minlength=len(landed)), [p])[0]
         for label, approx in (("max-hash", approx_max), ("sum-hash", approx_sum)):
             ratio = approx / true if true > 0 else None
             rows.append((vec_id, label, p, true, approx, ratio))

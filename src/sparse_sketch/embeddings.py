@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmbeddingMismatch, ParseError, PreconditionError
 from .pairwise import stacked_image
-from .vectors import SparseVector, _check_p, _dense_norm, require_cells, require_nonneg
+from .vectors import SparseVector, _check_p, _norms, require_cells, require_nonneg
 
 MODES = ("all-p", "linf-exact", "sum-linf", "discrete")
 
@@ -175,7 +175,7 @@ def estimate_distance(stack: StackedEmbedding, x: SparseVector, y: SparseVector,
     p-th powers, scaled by the largest difference so that it is finite at
     any p. p = INF: the plain max over all coordinates, no normalization.
     For non-negative inputs the estimate never exceeds the true distance
-    (up to float roundoff).
+    (up to float roundoff). PreconditionError when it leaves float range.
     """
     p = _check_p(p)
     if x.dim != y.dim:
@@ -183,7 +183,7 @@ def estimate_distance(stack: StackedEmbedding, x: SparseVector, y: SparseVector,
     (kx, vx), (ky, vy) = (stacked_image(v, stack.m, stack.T, stack.seed) for v in (x, y))
     keys, inv = np.unique(np.concatenate([kx, ky]), return_inverse=True)
     d = np.bincount(inv, weights=np.concatenate([vx, -vy]), minlength=len(keys))
-    return _dense_norm(d, p, stack.T)
+    return _norms(d, [p], stack.T)[0]
 
 
 def estimate_distance_embedded(params: EmbedParams, seed_a: int, ea: np.ndarray,
@@ -198,7 +198,7 @@ def estimate_distance_embedded(params: EmbedParams, seed_a: int, ea: np.ndarray,
         raise EmbeddingMismatch(
             f"expected embedded rows of length {width}, got {ea.shape} and {eb.shape}"
         )
-    return _dense_norm(ea - eb, p, params.T)
+    return _norms(ea - eb, [p], params.T)[0]
 
 
 def estimate_sum_norm(stack: StackedEmbedding, x: SparseVector, y: SparseVector) -> float:

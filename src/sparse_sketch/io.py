@@ -141,12 +141,12 @@ def config_line(config: dict) -> str:
 
 
 def _records(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) for each line that is neither blank nor
-    a `#` comment, numbered from `start`."""
+    """(line number, line without its line break) for each line that is
+    neither blank nor a `#` comment, numbered from `start`."""
     for lineno, raw in enumerate(lines, start):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
-            yield lineno, stripped
+            yield lineno, raw.rstrip("\n")
 
 
 def _floats(cells: Iterable[str], lineno: int) -> list[float]:
@@ -178,7 +178,7 @@ def _dataset(records: list, dim: int | None) -> Dataset:
         dim = 1 + max((i for _, _, pairs in records for i, _ in pairs), default=0)
     vectors = []
     for lineno, vec_id, pairs in records:
-        if any(c in vec_id for c in ",\r\n") or vec_id.startswith("#"):
+        if any(c in vec_id for c in ",\r\n") or vec_id.lstrip().startswith("#"):
             raise ParseError(f"vector id {vec_id!r}: a comma, a line break or a leading '#' "
                              "would break the CSV outputs", lineno)
         try:
@@ -218,9 +218,9 @@ def parse_dataset_text(lines: Iterable[str], dim: int | None = None) -> Dataset:
 
 def parse_dataset_jsonl(lines: Iterable[str], dim: int | None = None) -> Dataset:
     records = []
-    for lineno, stripped in _records(lines):
+    for lineno, line in _records(lines):
         try:
-            obj = json.loads(stripped)
+            obj = json.loads(line)
         except ValueError as e:
             raise ParseError(f"bad JSON: {e}", lineno)
         if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj.get("coords"), dict):

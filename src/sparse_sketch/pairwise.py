@@ -5,17 +5,16 @@ stacked max-pool embeddings.
 all pairs, equal bit for bit, behind every exact distance the package
 reports. Its merge step (``_merged``) turns each pair's supports into one
 sorted row of ranks into the distinct indices (padded with a higher rank
-and value 0.0; a shared coordinate merged into one slot as |x - y|). Its
-norm step (``_norms``) takes ``_reduce_abs``'s scaled sum of each row with
-``np.float_power`` (numpy's ``**`` differs from Python's in the last bit),
-added slot by slot in index order. When ``ys is xs`` (every all-pairs
-caller, and ``pairwise_power_dists``) a triangle walk merges each unordered
-pair i < j once, hands the merged rows to every p at once, and mirrors the
-results: |x - y| and |y - x| are the same float in the same slot, so
-``lp_dist(x, y) == lp_dist(y, x)`` bit for bit, and the diagonal is exactly
-0. Other shapes walk all len(xs) * len(ys) pairs through the same two
-steps. ``lp_dist`` stays as the scalar definition that the tests and the
-benchmark check against.
+and value 0.0; a shared coordinate merged into one slot as x - y). Its
+norm step is ``vectors._norms``, the package's one array norm step, which
+adds ``_reduce_abs``'s scaled terms slot by slot in index order. When
+``ys is xs`` (every all-pairs caller, and ``pairwise_power_dists``) a
+triangle walk merges each unordered pair i < j once, hands the merged rows
+to every p at once, and mirrors the results: |x - y| and |y - x| are the
+same float in the same slot, so ``lp_dist(x, y) == lp_dist(y, x)`` bit for
+bit, and the diagonal is exactly 0. Other shapes walk all len(xs) *
+len(ys) pairs through the same two steps. ``lp_dist`` stays as the scalar
+definition that the tests and the benchmark check against.
 
 ``_max_pool_keys`` is the package's one max-pool kernel (sorted distinct
 keys, the max of the values on each), and ``_pool_grid`` the one place that
@@ -82,7 +81,8 @@ phase with the batch, neither with the copy count.
   distance (equal vectors, so equal images) are set to exactly 0.
 
 Both power-sum functions raise PreconditionError when a p-th power
-overflows (a large p), rather than return inf or nan. Every function that
+overflows (a large p), rather than return inf or nan, and ``lp_dists`` and
+``stacked_linf`` when a difference does. Every function that
 returns a matrix of pairs raises it before allocating one whose cells
 exceed CELL_BUDGET (n <= 8192 for n x n).
 """
@@ -95,7 +95,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PreconditionError
 from .hashing import bucket_grid
-from .vectors import INF, SparseVector, _check_p, require_cells
+from .vectors import INF, SparseVector, _check_p, _norms, require_cells
 
 _POS_LIMIT = 1 << 62
 #: Hash evaluations (copies x distinct coordinates) one call may make.
@@ -203,41 +203,19 @@ def _entries(vectors: Sequence[SparseVector]):
 
 def _merged(rows: np.ndarray, vals: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The merge step: for each pair (x, y) = (row i, row j) of ``_padded``
-    ranks and values, the sorted row of |x - y| slot by slot in index order,
-    a shared coordinate's difference in its first slot and 0.0 in its
-    second. Padding fills trailing slots with 0.0, which adds exactly 0 to a norm."""
+    ranks and values, the sorted row of x - y slot by slot in index order
+    (up to sign, which the norm step drops), a shared coordinate's
+    difference in its first slot and 0.0 in its second. Padding fills
+    trailing slots with 0.0, which adds exactly 0 to a norm."""
     key = np.hstack([rows[i], rows[j]])
     order = np.argsort(key, axis=1, kind="stable")
     key = np.take_along_axis(key, order, 1)
-    val = np.take_along_axis(np.hstack([vals[i], vals[j]]), order, 1)
-    d = np.abs(val)
+    d = np.take_along_axis(np.hstack([vals[i], vals[j]]), order, 1)
     shared = key[:, 1:] == key[:, :-1]  # x's entry, then y's
     with np.errstate(over="ignore"):  # an inf fails _norms' check
-        d[:, :-1][shared] = np.abs(val[:, :-1] - val[:, 1:])[shared]
+        d[:, :-1][shared] = (d[:, :-1] - d[:, 1:])[shared]
     d[:, 1:][shared] = 0.0
     return d
-
-
-def _norms(d: np.ndarray, ps: Sequence[float]) -> list[np.ndarray]:
-    """The norm step: each row's top * (sum (d / top)^p)^(1/p), added slot by
-    slot, or its max at p = inf, for every p of ps. Divides `d` in place
-    unless every p is inf. PreconditionError when a norm leaves float range
-    (inf, or the nan of inf / inf)."""
-    top = d.max(axis=1)
-    out = []
-    # 0/0 on rows that np.where zeroes; an overflow fails the check below
-    with np.errstate(invalid="ignore", over="ignore"):
-        if any(p != INF for p in ps):
-            d /= top[:, None]
-        for p in ps:
-            if p == INF:
-                out.append(top)
-                continue
-            acc = np.add.accumulate(np.float_power(d, p), axis=1)[:, -1]
-            out.append(np.where(top > 0.0, top * np.float_power(acc, 1.0 / p), 0.0))
-    if not np.isfinite(out).all():
-        raise PreconditionError("distances overflow a float")
-    return out
 
 
 def pairwise_power_dists(vectors: Sequence[SparseVector], ps: Sequence[float]) -> dict:
@@ -551,6 +529,8 @@ def stacked_linf(vectors: Sequence[SparseVector], m: int, copies: int, seed: int
     keep = np.repeat(alone, ocounts)
     _group_max(out, owner_vec[keep], owner_val[keep],
                *_group_pairs(np.repeat(np.flatnonzero(alone), ocounts[alone])))
+    if not np.isfinite(out).all():
+        raise PreconditionError("distances overflow a float")
     out = np.maximum(out, out.T)
     np.fill_diagonal(out, 0.0)
     return out
@@ -568,7 +548,8 @@ def _group_max(out: np.ndarray, vec, top, a, b) -> None:
     first = np.cumsum(sizes) - sizes
     rank = np.argsort(order) - first[vec]
     # (a, b): the owner pairs of each shared group, the lower vector first
-    np.maximum.at(out, (vec[a], vec[b]), np.abs(top[a] - top[b]))
+    with np.errstate(over="ignore"):  # an inf fails stacked_linf's check
+        np.maximum.at(out, (vec[a], vec[b]), np.abs(top[a] - top[b]))
     # u's largest |t| at a group v lacks sits at the first rank that u does
     # not share with v: the length of the run 0, 1, 2, ... of shared ranks
     scale = int(sizes.max(initial=1))

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionShape,
 )
 from .hashing import HashSpec, bucket_grid, derive_seed
-from .vectors import INF, SparseVector, _check_p, _dense_norm, _read_only, require_cells
+from .vectors import INF, SparseVector, _check_p, _norms, _read_only, require_cells
 
 _EXACT_RTOL = 1e-9
 _GRAM_CELLS = 1 << 20  # Gram entries or support scores per block of trials (8 MB)
@@ -110,7 +110,7 @@ def unif_draws(spec: UnifSpec, trials: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gram_norms(lin_map: DenseLinearMap, supports: np.ndarray, values: np.ndarray) -> np.ndarray:
     """||A x|| of each draw as top * sqrt(u^T G_s u), u = x / top, with G the
-    Gram matrix A^T A; scaled as `_dense_norm` is, so it is finite wherever
+    Gram matrix A^T A; scaled as `vectors._norms` is, so it is finite wherever
     the norm is. At most _GRAM_CELLS entries of G are gathered at once."""
     gram = lin_map.matrix.T @ lin_map.matrix
     top = np.abs(values).max(axis=1)
@@ -148,11 +148,12 @@ def preservation_trials(
     if not gamma >= 0:  # nan too
         raise PreconditionError("gamma must be >= 0")
     supports, values = unif_draws(spec, trials)
-    nt = _dense_norm(values, p)
+    nt = _norms(values, [p])[0]
     if p == 2 and lin_map.cols <= 4096:
         ne = _gram_norms(lin_map, supports, values)
     else:
-        ne = np.array([_dense_norm(lin_map.matrix[:, s] @ v, p) for s, v in zip(supports, values)])
+        ne = np.array([_norms(lin_map.matrix[:, s] @ v, [p])[0]
+                       for s, v in zip(supports, values)])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # nt = 0: set below
         if gamma == 0.0 or p == INF:
             stat = np.abs(ne - nt) / nt

@@ -2,14 +2,16 @@
 
 Vectors are immutable sorted (index, value) pair lists. Explicit zeros are
 canonicalized away on construction, so the stored support is exactly the set
-of non-zero coordinates. All operations are pure.
+of non-zero coordinates. All operations are pure. `_reduce_abs` is the scalar
+norm behind `lp_norm` and `lp_dist`; `_norms` is the package's one array norm
+step, equal to it bit for bit row by row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,38 +37,49 @@ def _check_p(p) -> float:
 
 
 def _reduce_abs(abs_vals: Iterable[float], p: float) -> float:
-    """(sum |v|^p)^(1/p), scaled by the max entry so huge p stays stable."""
-    vals = [v for v in abs_vals]
-    if not vals:
-        return 0.0
-    top = max(vals)
-    if top == 0.0:
-        return 0.0
-    if p == INF:
-        return top
-    acc = 0.0
-    for v in vals:
-        acc += (v / top) ** p
-    return top * acc ** (1.0 / p)
-
-
-def _dense_norm(arr: np.ndarray, p, copies: int = 1) -> float | np.ndarray:
-    """top * (sum (|a| / top)^p / copies)^(1/p), or the max at p = INF: the
-    same scaled norm over an array, summed by numpy (so its last bits can
-    differ from the scalar loop above). With copies = T it is the stacked
-    per-copy mean, finite at any p; copies = 1 divides exactly.
-
-    A 1-D array gives a float; a 2-D array gives the norm of each row, each
-    equal to the float its row gives alone (the root is `np.float_power`,
-    which rounds as the scalar power does, where array `**` need not)."""
-    a = np.abs(arr)
-    top = a.max(axis=-1, initial=0.0)
-    if p == INF:
-        norms = top
+    """(sum |v|^p)^(1/p), scaled by the max entry so huge p stays stable;
+    PreconditionError when it leaves float range."""
+    vals = list(abs_vals)
+    top = max(vals, default=0.0)
+    if top == 0.0 or p == INF:
+        norm = top
     else:
-        scale = np.where(top > 0.0, top, 1.0)[..., None]  # an all-zero row stays 0
-        norms = top * np.float_power(np.sum((a / scale) ** p, axis=-1) / copies, 1.0 / p)
-    return float(norms) if a.ndim == 1 else norms
+        acc = 0.0
+        for v in vals:
+            acc += (v / top) ** p
+        norm = top * acc ** (1.0 / p)
+    if not math.isfinite(norm):
+        raise PreconditionError("distances overflow a float")
+    return norm
+
+
+def _norms(d: np.ndarray, ps: Sequence[float], copies: int = 1) -> list:
+    """The array norm step: top * (sum (|d| / top)^p / copies)^(1/p) over
+    the last axis of `d`, or its max at p = INF, for every p of ps. The
+    terms are added slot by slot with `np.float_power`, as `_reduce_abs`
+    adds them (numpy's `**` differs from Python's in the last bit), so at
+    copies = 1 each row equals `_reduce_abs` of it bit for bit; with copies
+    = T it is the stacked per-copy mean, finite at any p. An empty or
+    all-zero row gives 0.0, and a 1-D `d` gives floats. PreconditionError
+    when a norm leaves float range (inf, or the nan of inf / inf)."""
+    a = np.abs(d)
+    if a.shape[-1] == 0:  # an empty row norms as one zero slot
+        a = np.zeros(a.shape[:-1] + (1,))
+    top = a.max(axis=-1)
+    out = []
+    # 0/0 on rows that np.where zeroes; an overflow fails the check below
+    with np.errstate(invalid="ignore", over="ignore"):
+        if any(p != INF for p in ps):
+            a /= top[..., None]
+        for p in ps:
+            if p == INF:
+                out.append(top)
+                continue
+            acc = np.add.accumulate(np.float_power(a, p), axis=-1)[..., -1]
+            out.append(np.where(top > 0.0, top * np.float_power(acc / copies, 1.0 / p), 0.0))
+    if not np.isfinite(out).all():
+        raise PreconditionError("distances overflow a float")
+    return [float(n) for n in out] if a.ndim == 1 else out
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -139,7 +152,8 @@ class SparseVector:
 
 
 def lp_norm(x: SparseVector, p) -> float:
-    """(sum_i |x_i|^p)^(1/p); the max absolute value when p is INF."""
+    """(sum_i |x_i|^p)^(1/p); the max absolute value when p is INF.
+    PreconditionError when it leaves float range."""
     p = _check_p(p)
     return _reduce_abs((abs(v) for v in x.values), p)
 
@@ -158,10 +172,7 @@ def lp_dist(x: SparseVector, y: SparseVector, p) -> float:
     """lp norm of x - y, accumulated directly over the merged support;
     PreconditionError when it leaves float range."""
     p = _check_p(p)
-    dist = _reduce_abs((abs(a - b) for _, a, b in _union(x, y)), p)
-    if not math.isfinite(dist):
-        raise PreconditionError("distances overflow a float")
-    return dist
+    return _reduce_abs((abs(a - b) for _, a, b in _union(x, y)), p)
 
 
 def _merge(x: SparseVector, y: SparseVector, sign: float) -> SparseVector:

@@ -535,11 +535,20 @@ def test_distance_sums_equal_the_per_query_sums():
     data = random_nonneg_dataset(20, 4, 300, seed=25)
     queries = (random_nonneg_dataset(6, 4, 300, seed=26).vectors
                + (SparseVector.zero(300), data.vectors[0], sv({0: 1e200, 5: 2.0}, d=300)))
-    for p in (1, 2, 4, 7):
+
+    def python_sum(y, p):  # Python's float power and sum, in dataset order
+        try:
+            return sum(lp_dist(x, y, p) ** p for x in data.vectors)
+        except OverflowError:
+            return math.inf
+
+    for p in (1, 2, 3, 4, 7):
         sums = distance_sums(data, queries, p)
         assert sums == [direct_distance_sum(data, y, p) for y in queries]
+        assert sums == [python_sum(y, p) for y in queries]
         assert math.isfinite(sums[-1]) == (p == 1)  # (1e200)^p overflows above p = 1
     assert distance_sums(data, (), 2) == []
+    assert distance_sums(Dataset.from_items([], dim=300), queries, 2) == [0.0] * len(queries)
 
 
 _THREADS_PROBE = """

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import sparse_sketch
 from sparse_sketch import io
-from sparse_sketch.cli import _parse_p, main
+from sparse_sketch.cli import _embedded_dists, _parse_p, main
 from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.embeddings import EmbedParams, StackedEmbedding, estimate_distance, stack_embed
 from sparse_sketch.vectors import Dataset, SparseVector
@@ -169,6 +169,24 @@ def test_distort_embedded_matches_estimate_distance(tmp_path, p):
             assert float(r[3]) == pytest.approx(expect, rel=1e-12, abs=1e-300)
         checked += 1
     assert checked == 28
+
+
+def test_distort_embedded_column_is_the_kernel_without_a_base(tmp_path):
+    # the exact p-th powers that distort hands the engine as `base` are the
+    # engine's own, bit for bit, so the column equals a call that derives them
+    # (numpy's `**` differs from `np.float_power` in the last bit at 6 of these 45 pairs)
+    data, ds = write_data(tmp_path, n=10, s=5, d=100, seed=1)
+    out = str(tmp_path / "rep.csv")
+    assert main(["distort", "--input", data, "--output", out, "--m", "10", "--T", "600",
+                 "--p", "3", "--seed", "9"]) == 0
+    emb = _embedded_dists(ds.vectors, manual_params(10, 600), 9, 3)
+    _, rows = csv_rows(out)
+    at = {i: k for k, i in enumerate(ds.ids)}
+    pairs = [r for r in rows if not r[0].startswith("summary")]
+    assert len(pairs) == 45
+    for r in pairs:
+        a, b = r[0].split("|")
+        assert float(r[3]) == emb[at[a], at[b]]
 
 
 @pytest.mark.parametrize("flag", ["--m", "--T", "--s"])
@@ -619,6 +637,7 @@ def test_planner_overflows_are_precondition_errors(tmp_path, capsys, argv):
 
 _BIG_POWERS = "a\t0:3 1:5\nb\t2:1\nc\t1:2.5 4:7\n"  # 7^2000 is beyond float range
 _BIG_DISTANCE = "# d: 10\na\t0:1e308\nb\t0:-1e308 3:1.0\n"  # and so is |1e308 - -1e308|
+_BIG_NORM = "a\t0:1e308 1:1e308\n"  # and its l1 norm
 
 
 @pytest.mark.parametrize("argv, data", [
@@ -628,7 +647,9 @@ _BIG_DISTANCE = "# d: 10\na\t0:1e308\nb\t0:-1e308 3:1.0\n"  # and so is |1e308 -
      _BIG_POWERS),
     (["apps", "diameter", "--p", "2"], _BIG_DISTANCE),
     (["distort", "--p", "inf"], _BIG_DISTANCE),
-], ids=["distort", "maxcut", "cluster-cost", "diameter-distance", "distort-distance"])
+    (["distort", "--against-zero", "--p", "1", "--m", "5", "--T", "2"], _BIG_NORM),
+], ids=["distort", "maxcut", "cluster-cost", "diameter-distance", "distort-distance",
+        "distort-norm"])
 def test_overflowing_powers_are_precondition_errors(tmp_path, argv, data):
     # each used to exit 0 with nan, a true max-cut of 0.0 or an inf sketch, and
     # to print numpy's overflow warnings, before or in place of the error message
@@ -830,7 +851,9 @@ def test_exit_codes_over_the_planner_flags(planner_data, command, mode, delta, p
 
 def test_cli_digest_script_prints_one_digest_per_command():
     script = Path(__file__).resolve().parents[1] / "scripts" / "cli_digest.py"
-    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    # no command may warn: an overflow or invalid value fails the script
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 32

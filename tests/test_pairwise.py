@@ -171,6 +171,8 @@ def test_distances_beyond_float_range_are_precondition_errors(p):
         lp_dists(pair, pair, p)  # the triangle walk
     with pytest.raises(PreconditionError, match="distances overflow a float"):
         lp_dists([a], [b], p)  # the walk over ordered pairs
+    with pytest.raises(PreconditionError, match="distances overflow a float"):
+        stacked_linf(pair, 5, 3, 0)  # a pooled difference
     # neighbouring slots of different indices whose difference overflows stay
     # quiet where the distance is finite (at p = 1 it is 2e308)
     c = SparseVector.from_pairs({1: -1e308}, 10)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_sketch.errors import DimensionMismatch
+from sparse_sketch.errors import DimensionMismatch, PreconditionError
 from sparse_sketch.vectors import (
     INF,
     Dataset,
     SparseVector,
-    _dense_norm,
+    _norms,
+    _reduce_abs,
     diff_vectors,
     lp_dist,
     lp_norm,
@@ -185,23 +186,44 @@ def test_large_p_approximates_max_norm():
         assert 1.0 - eps < ratio < 1.0 + eps
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2.5, 400.0, INF])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2.5, 7.5, 400.0, 1024.0, INF])
 @pytest.mark.parametrize("copies", [1, 7])
-def test_dense_norm_rows_equal_their_one_dimensional_floats(p, copies):
-    rows = np.random.default_rng(5).standard_normal((40, 9)) * 1e150
-    rows[3] = 0.0
+@settings(max_examples=40, deadline=None)
+@given(width=st.integers(0, 9), data=st.data())
+def test_dense_norm_rows_equal_their_one_dimensional_floats(p, copies, width, data):
+    # `_norms` over the rows of a dense array: rows of ~1, ~1e150 and ~1e-150
+    # and all-zero rows; width 0 gives empty rows
+    cells = st.lists(st.floats(-4.0, 4.0), min_size=width, max_size=width)
+    rows = np.array(data.draw(st.lists(cells, min_size=1, max_size=6)), dtype=np.float64)
+    scales = data.draw(st.lists(st.sampled_from([1.0, 1e150, 1e-150, 0.0]),
+                                min_size=len(rows), max_size=len(rows)))
+    rows = rows.reshape(len(rows), width) * np.array(scales)[:, None]
+    alone = [_norms(r, [p], copies)[0] for r in rows]
+    assert all(type(n) is float for n in alone)
+    assert _norms(rows, [p], copies)[0].tolist() == alone
+    if copies == 1:
+        assert alone == [_reduce_abs(np.abs(r).tolist(), p) for r in rows]
+    else:  # the same terms, their sum divided by copies before the root
+        for r, norm in zip(np.abs(rows).tolist(), alone):
+            top = max(r, default=0.0)
+            if top > 0.0 and p != INF:
+                top *= (sum((v / top) ** p for v in r) / copies) ** (1.0 / p)
+            assert norm == top
+    # several p at once give what each gives alone
+    ps = [INF, p, 2.0]
+    assert [n.tolist() for n in _norms(rows, ps, copies)] == [_norms(rows, [q], copies)[0].tolist()
+                                                              for q in ps]
 
-    def reference(a):  # the one-row form, Python's float power for the root
-        a = np.abs(a)
-        top = float(a.max())
-        if top == 0.0 or p == INF:
-            return top
-        return top * (float(np.sum((a / top) ** p)) / copies) ** (1.0 / p)
 
-    expected = [reference(r) for r in rows]
-    assert [_dense_norm(r, p, copies) for r in rows] == expected
-    assert all(type(_dense_norm(r, p, copies)) is float for r in rows)
-    assert _dense_norm(rows, p, copies).tolist() == expected
+def test_norms_beyond_float_range_are_precondition_errors():
+    big = sv({0: 1e308, 1: 1e308})
+    with pytest.raises(PreconditionError, match="distances overflow a float"):
+        lp_norm(big, 1)
+    for d in (np.array([1e308, 1e308]), np.array([[1.0, 0.0], [1e308, -1e308]])):
+        with pytest.raises(PreconditionError, match="distances overflow a float"):
+            _norms(d, [1.0])
+    # the scaled sum stays finite where the norm is
+    assert lp_norm(big, 2) == _norms(np.array(big.values), [2.0])[0] == 1e308 * math.sqrt(2.0)
 
 
 # --- dataset

@@ -16,7 +16,6 @@ from .errors import (
     InternalCheckError,
     NonNegativeRequired,
     ParseError,
-    PatternBudgetError,
     PreconditionColumns,
     PreconditionError,
     PreconditionShape,
@@ -39,7 +38,7 @@ __all__ = [
     "EmbedParams", "StackedEmbedding", "estimate_distance", "estimate_sum_norm", "plan_params",
     "stack_embed",
     "DimensionMismatch", "EmbeddingMismatch", "InternalCheckError", "NonNegativeRequired",
-    "ParseError", "PatternBudgetError", "PreconditionColumns", "PreconditionError",
+    "ParseError", "PreconditionColumns", "PreconditionError",
     "PreconditionShape", "SketchError",
     "HashSpec", "hash_bucket", "mix64",
     "INF", "Dataset", "SparseVector", "diff_vectors", "lp_dist", "lp_norm", "sum_vectors",

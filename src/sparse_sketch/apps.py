@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PatternBudgetError, PreconditionError
+from .errors import PreconditionError
 from .hashing import bucket_grid
 from .pairwise import (
     _entries,
@@ -103,13 +103,12 @@ def max_sign_range(rows: np.ndarray) -> float:
     return best
 
 
-def diameter_l1(dataset: Dataset, s: int, seed: int, k: int | None = None) -> float:
-    """l1 diameter sketch: max-pool to k buckets, then reduce l1 to the
-    max norm by enumerating all 2^k sign patterns.
+def diameter_l1(dataset: Dataset, s: int, seed: int) -> float:
+    """l1 diameter sketch: max-pool to k = min(3 s, 24) buckets, then
+    reduce l1 to the max norm by enumerating all 2^k sign patterns; the cap
+    bounds the pattern pass, which walks all 2^k sign rows.
 
-    Never exceeds the true l1 diameter for non-negative input. k defaults
-    to min(3 s, 24); a k above 24 raises PatternBudgetError, since the
-    pattern pass walks all 2^k sign rows.
+    Never exceeds the true l1 diameter for non-negative input.
 
     Equality holds when some witness pair (one at the true diameter) has
     its union support land in distinct buckets; for continuous values any
@@ -118,12 +117,7 @@ def diameter_l1(dataset: Dataset, s: int, seed: int, k: int | None = None) -> fl
     collision-free with probability prod_{i<u} (1 - i/k), e.g. 0.019 for
     u = 10, k = 15, so exact answers are the exception, not the rule.
     """
-    if k is None:
-        k = min(3 * max(1, s), _PATTERN_BUDGET)
-    if k < 1:
-        raise PreconditionError("need at least one projected dimension")
-    if k > _PATTERN_BUDGET:
-        raise PatternBudgetError(f"k={k} exceeds the 2^k enumeration budget of {_PATTERN_BUDGET}")
+    k = min(3 * max(1, s), _PATTERN_BUDGET)
     if len(dataset) < 2:
         return 0.0
     rows = np.zeros((len(dataset), k))
@@ -328,7 +322,6 @@ class DistanceEstimator:
     """
 
     p: int
-    eps: float
     R: int
     seed: int
     m: int
@@ -430,7 +423,7 @@ def build_estimator(dataset: Dataset, p: int, eps: float, seed: int) -> Distance
         landed = span.stop
     rows = rows[:landed]
     rows[:, 0] = float(n)  # 0^0 := 1 for every bucket and vector
-    return DistanceEstimator(p=p, eps=eps, R=reps, seed=seed, m=m, dim=dataset.dim,
+    return DistanceEstimator(p=p, R=reps, seed=seed, m=m, dim=dataset.dim,
                              slots=slots, rows=rows, totals=totals)
 
 

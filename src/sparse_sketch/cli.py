@@ -55,12 +55,6 @@ from .vectors import INF, _norms, lp_norm, require_cells
 _SLACK = 1e-9
 
 
-def _parse_p(text: str):
-    if text.strip().lower() in ("inf", "infinity", "oo"):
-        return INF
-    return float(text)
-
-
 def _config(args: argparse.Namespace, **extra) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
     cfg.update(extra)
@@ -265,7 +259,7 @@ def cmd_probe(args) -> int:
         spec = UnifSpec(t=args.t, r=args.r, d=lin_map.cols, seed=args.seed)
         p = args.p if args.p is not None else 2.0
         stats, passes = preservation_trials(lin_map, spec, p, args.gamma, args.trials)
-        rows = [(i, float(stats[i]), int(passes[i])) for i in range(len(stats))]
+        rows = ((i, float(stat), int(ok)) for i, (stat, ok) in enumerate(zip(stats, passes)))
         trailers = [f"rate: {float(passes.mean())!r}"]
     elif args.task == "violation":
         lin_map = DenseLinearMap(io.read_dense_map_csv(args.input))
@@ -287,8 +281,8 @@ def cmd_probe(args) -> int:
             raise PreconditionError(f"variance {spec.r!r}: squared norms overflow a float")
         if not np.isfinite(mean_sq):  # the sum overflowed, the mean need not
             mean_sq = float((sq_norms / args.trials).sum())
-        rows = [(i, float(sq_norms[i]), int(supports[i].size == spec.t))
-                for i in range(args.trials)]
+        rows = ((i, float(sq), int(support.size == spec.t))
+                for i, (sq, support) in enumerate(zip(sq_norms, supports)))
         covered = len(np.unique(supports)) / spec.d
         trailers = [
             f"coverage: {covered!r}",
@@ -315,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="input dataset file (.tsv text or .jsonl)")
         sp.add_argument("--output", required=True, help="output CSV path")
         sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        sp.add_argument("--p", type=_parse_p, default=None, help="norm order, e.g. 2 or inf")
+        sp.add_argument("--p", type=float, default=None, help="norm order, e.g. 2 or inf")
         sp.add_argument("--trials", type=int, default=1, help="number of seeded runs")
 
     def planner(sp):

@@ -39,10 +39,6 @@ class PreconditionColumns(PreconditionError):
     """Some matrix column has no entry of absolute value >= 1/2."""
 
 
-class PatternBudgetError(PreconditionError):
-    """Requested sign-pattern enumeration exceeds the 2**24 budget."""
-
-
 class EmbeddingMismatch(PreconditionError):
     """Embedded vectors come from incompatible maps (different params/seed)."""
 

@@ -19,7 +19,6 @@ header in chunks of at most 16,000 names, copied from one 1000-name period
 per digit count; `_image_cells` gives each row as a list of parts that are
 written in turn: slices of one shared run of `,0.0` cells for the gaps
 between the sorted keys, and the repr of each distinct value at its keys.
-The dense-map writer formats its rows with the same `_image_cells`.
 """
 
 from __future__ import annotations
@@ -86,17 +85,6 @@ def _image_cells(keys, values, zeros: memoryview, width: int, what: str) -> list
         if gap:
             parts.append(zeros[:4 * gap])
         parts.append(cell)
-    return parts
-
-
-def _float_cells(row, zeros: memoryview) -> list:
-    """The cells of a float row joined by commas, each as its float's repr,
-    as `_image_cells` parts of the cells that are not +0.0 (-0.0, nan and
-    +-inf included) with the leading comma dropped."""
-    row = np.asarray(row, dtype=np.float64)
-    keep = np.flatnonzero((row != 0) | np.signbit(row))
-    parts = _image_cells(keep, row[keep], zeros, row.size, "dense row")
-    parts[0] = parts[0][1:]
     return parts
 
 
@@ -304,14 +292,13 @@ def read_embedding_csv(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def write_dense_map_csv(path: str, matrix: np.ndarray) -> None:
-    """Dense map file: an `m,d` header then m rows of d values."""
+    """Dense map file: an `m,d` header then m rows of d values, each as
+    its float64's repr."""
     m, d = matrix.shape
-    with open(path, "wb", buffering=_WRITE_BUFFER) as fh:
-        fh.write(f"{m},{d}\n".encode("ascii"))
-        zeros = _zero_run(d)
-        for row in matrix:
-            fh.writelines(_float_cells(row, zeros))
-            fh.write(b"\n")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"{m},{d}\n")
+        for row in matrix.astype(np.float64, copy=False):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_dense_map_csv(path: str) -> np.ndarray:

@@ -97,11 +97,12 @@ def unif_draws(spec: UnifSpec, trials: int) -> tuple[np.ndarray, np.ndarray]:
     The stream is a pure function of (spec, trials): identical inputs
     reproduce identical draws, across runs and processes. Each draw reads d
     uniform scores, so d may be at most CELL_BUDGET and the time grows with
-    trials * d.
+    trials * d; the (trials, t) arrays may hold at most CELL_BUDGET cells.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
     require_cells(spec.d, "support scores")
+    require_cells(trials * spec.t, "draws")
     rng = np.random.default_rng(derive_seed(spec.seed, 0xD14A, 0))
     supports = _support_matrix(rng, trials, spec.d, spec.t)
     values = rng.normal(0.0, math.sqrt(spec.r), size=(trials, spec.t))

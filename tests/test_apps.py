@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sparse_sketch
+from sparse_sketch import apps
 from sparse_sketch.apps import (
     Clustering,
     build_estimator,
@@ -28,7 +29,6 @@ from sparse_sketch.apps import (
 from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.errors import (
     NonNegativeRequired,
-    PatternBudgetError,
     PreconditionError,
 )
 from sparse_sketch.vectors import INF, Dataset, SparseVector, lp_dist
@@ -157,20 +157,23 @@ def test_l1_diameter_equals_projected_space_oracle():
     # the pattern machinery must compute exactly the pairwise l1 diameter
     # of the bucketed vectors
     data = random_nonneg_dataset(12, 3, 400, seed=4)
-    k = 9
+    k = 9  # min(3 s, 24) at s = 3
     for seed in (0, 1, 2):
         rows = np.stack([pooled_row(v, k, seed, 0) for v in data.vectors])
         oracle = max(
             float(np.abs(rows[i] - rows[j]).sum())
             for i in range(12) for j in range(i + 1, 12)
         )
-        assert diameter_l1(data, s=3, seed=seed, k=k) == pytest.approx(oracle, rel=1e-12)
+        assert diameter_l1(data, s=3, seed=seed) == pytest.approx(oracle, rel=1e-12)
 
 
-def test_l1_diameter_budget_enforced():
-    data = random_nonneg_dataset(4, 2, 100, seed=5)
-    with pytest.raises(PatternBudgetError):
-        diameter_l1(data, s=2, seed=0, k=30)
+@pytest.mark.parametrize("s, k", [(1, 3), (5, 15), (8, 24), (9, 24), (40, 24)])
+def test_l1_diameter_projects_to_min_3s_and_the_pattern_budget(monkeypatch, s, k):
+    # the sign-pattern pass is stubbed out, so no 2^24 walk runs
+    widths = []
+    monkeypatch.setattr(apps, "max_sign_range", lambda rows: widths.append(rows.shape[1]) or 0.0)
+    diameter_l1(random_nonneg_dataset(4, min(s, 5), 100, seed=5), s=s, seed=0)
+    assert widths == [k]
 
 
 # --- max-cut

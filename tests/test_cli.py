@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import sparse_sketch
 from sparse_sketch import io
-from sparse_sketch.cli import _embedded_dists, _parse_p, main
+from sparse_sketch.cli import _embedded_dists, main
 from sparse_sketch.datagen import random_nonneg_dataset
 from sparse_sketch.embeddings import EmbedParams, StackedEmbedding, estimate_distance, stack_embed
 from sparse_sketch.vectors import Dataset, SparseVector
@@ -162,13 +162,30 @@ def test_distort_embedded_matches_estimate_distance(tmp_path, p):
         if r[0].startswith("summary"):
             continue
         a, b = r[0].split("|")
-        expect = estimate_distance(stack, vecs[a], vecs[b], _parse_p(p))
+        expect = estimate_distance(stack, vecs[a], vecs[b], float(p))
         if p == "inf":  # a max of the same float differences
             assert float(r[3]) == expect
         else:  # sums of the engine's corrections and of one pair's keys differ in the last bits
             assert float(r[3]) == pytest.approx(expect, rel=1e-12, abs=1e-300)
         checked += 1
     assert checked == 28
+
+
+def test_p_spellings_of_infinity_write_the_same_bytes(tmp_path):
+    # --p is parsed by float, so every spelling of infinity is the same
+    # math.inf; the alias "oo" is not a float and is an argparse error
+    data, _ = write_data(tmp_path, n=5, s=3, d=40, seed=2)
+    out = tmp_path / "rep.csv"
+    argv = ["distort", "--input", data, "--output", str(out), "--m", "7", "--T", "50",
+            "--seed", "3", "--p"]
+    assert main(argv + ["inf"]) == 0
+    expect = out.read_bytes()
+    for spelling in ("INF", "Infinity"):
+        assert main(argv + [spelling]) == 0
+        assert out.read_bytes() == expect
+    with pytest.raises(SystemExit) as exc, redirect_stderr(StringIO()):
+        main(argv + ["oo"])
+    assert exc.value.code == 2
 
 
 def test_distort_embedded_column_is_the_kernel_without_a_base(tmp_path):
@@ -397,15 +414,19 @@ def test_probe_unif_stats_full_coverage(tmp_path):
     ["unif-stats", "--d", "50", "--trials", "0"],
     ["unif-stats", "--d", "50", "--t", "4", "--trials", "20", "--r", "1e308"],
     ["unif-stats", "--d", "1000000000000", "--t", "4", "--trials", "2"],
+    ["unif-stats", "--d", "50", "--t", "4", "--trials", "1000000000000"],
     ["rate", "--r", "nan", "--trials", "5"],
     ["rate", "--gamma", "nan", "--trials", "5"],
+    ["rate", "--trials", "1000000000000"],
 ], ids=["unif-stats-r-nan", "unif-stats-r-inf", "unif-stats-no-trials",
-        "unif-stats-squares-overflow", "unif-stats-huge-d", "rate-r-nan", "rate-gamma-nan"])
+        "unif-stats-squares-overflow", "unif-stats-huge-d", "unif-stats-huge-trials",
+        "rate-r-nan", "rate-gamma-nan", "rate-huge-trials"])
 def test_probe_bad_sizes_are_quiet_precondition_errors(tmp_path, argv):
     # the first four unif-stats cases used to exit 0 with nan or inf
     # statistics, the squares overflow after two numpy RuntimeWarnings; under
     # -W error a warning would be a traceback. A d past CELL_BUDGET would
-    # draw d scores per trial and end in a MemoryError traceback
+    # draw d scores per trial, and trials * t past it would allocate the
+    # draws, each ending in a MemoryError traceback
     mpath = tmp_path / "map.csv"
     io.write_dense_map_csv(str(mpath), np.random.default_rng(0).standard_normal((6, 50)))
     out = tmp_path / "o.csv"
@@ -755,7 +776,7 @@ def test_against_zero_max_hash_is_estimate_distance_to_zero(tmp_path, p):
     stack = stack_of(7, 30, 9)
     vecs = dict(zip(ds.ids, ds.vectors))
     got = {r[0]: float(r[4]) for r in rows if r[1] == "max-hash"}
-    assert got == {i: estimate_distance(stack, v, SparseVector.zero(ds.dim), _parse_p(p))
+    assert got == {i: estimate_distance(stack, v, SparseVector.zero(ds.dim), float(p))
                    for i, v in vecs.items()}
 
 
@@ -858,3 +879,17 @@ def test_cli_digest_script_prints_one_digest_per_command():
     lines = out.stdout.splitlines()
     assert len(lines) == 32
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)
+
+
+def test_src_lines_script_adds_up_the_module_counts():
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, str(root / "scripts" / "src_lines.py")],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    *modules, (total, label), (physical, wc) = [line.split(None, 1)
+                                                 for line in out.stdout.splitlines()]
+    package = root / "src" / "sparse_sketch"
+    assert [name for _, name in modules] == sorted(p.name for p in package.glob("*.py"))
+    assert (label, wc) == ("code lines", "wc -l")
+    assert sum(int(count) for count, _ in modules) == int(total)
+    assert int(physical) == sum(p.read_bytes().count(b"\n") for p in package.glob("*.py"))

@@ -135,14 +135,18 @@ _ODD_FLOATS = st.sampled_from([-0.0, math.nan, -math.nan, math.inf, -math.inf, 5
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(0, 200), data=st.data())
-def test_float_cells_equal_the_cell_by_cell_format(n, data):
-    row = np.zeros(n)
-    if n:
-        cells = st.tuples(st.integers(0, n - 1), st.one_of(_ODD_FLOATS, st.floats()))
-        for i, v in data.draw(st.lists(cells, max_size=1 + n // 4)):
-            row[i] = v
-    assert b"".join(io._float_cells(row, io._zero_run(n))) == cell_by_cell(row).encode()
+@given(m=st.integers(1, 3), d=st.integers(0, 200), data=st.data())
+def test_dense_map_rows_equal_the_cell_by_cell_format(tmp_path_factory, m, d, data):
+    matrix = np.zeros((m, d))
+    if d:
+        cells = st.tuples(st.integers(0, m - 1), st.integers(0, d - 1),
+                          st.one_of(_ODD_FLOATS, st.floats()))
+        for i, j, v in data.draw(st.lists(cells, max_size=1 + m * d // 4)):
+            matrix[i, j] = v
+    path = tmp_path_factory.mktemp("dense") / "map.csv"
+    io.write_dense_map_csv(str(path), matrix)
+    expect = f"{m},{d}\n" + "".join(cell_by_cell(row) + "\n" for row in matrix)
+    assert path.read_bytes() == expect.encode()
 
 
 @settings(max_examples=300, deadline=None)
